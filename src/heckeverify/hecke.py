@@ -759,6 +759,7 @@ def verify_bernstein(rstype, radius=2):
         "status": "pass" if not bad else "fail",
         "statement": f"products and transposes of {pairs} weight pairs at "
                      f"radius {radius} all match the sum weight",
+        "failures": len(bad),
         "detail": {"failing_pairs": bad[:5]}})
 
     probe = [tuple(int(j == i) for j in range(rs.rank))
@@ -785,6 +786,7 @@ def verify_bernstein(rstype, radius=2):
         "status": "pass" if not indep_bad else "fail",
         "statement": f"{len(probe)} weights rebuilt from 3 decompositions "
                      f"each give one value",
+        "failures": len(indep_bad),
         "detail": {"failures": indep_bad}})
 
     central_bad = []
@@ -803,5 +805,6 @@ def verify_bernstein(rstype, radius=2):
         "status": "pass" if not central_bad else "fail",
         "statement": "orbit sums over every fundamental weight commute with "
                      "every affine generator and every length-zero element",
+        "failures": len(central_bad),
         "detail": {"failures": central_bad}})
     return records

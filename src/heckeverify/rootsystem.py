@@ -19,6 +19,7 @@ Numbering of simple roots is Bourbaki's throughout:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -216,6 +217,7 @@ class RootSystem:
         self.rstype = rstype
         self.rank = rstype.rank
         self.cartan, self._simple_norm2, self._bil = _cartan_matrix(rstype)
+        self._bil2 = [[int(2 * x) for x in row] for row in self._bil]
         self.simples = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
         self.positive_roots = self._enumerate_positive()
         self.all_roots = self.positive_roots + [self._neg(r) for r in self.positive_roots]
@@ -226,6 +228,8 @@ class RootSystem:
         self.fundamental_weights = tuple(
             tuple(row) for row in _invert_fraction_matrix(self.cartan))
         self.epsilon_view = _epsilon_view(rstype)
+        self._root_norm2 = {r: self._form(r) for r in self.all_roots}
+        self._epsilon_index = None
 
     # -- construction -------------------------------------------------------
 
@@ -295,15 +299,25 @@ class RootSystem:
     def height(self, root) -> int:
         return sum(root)
 
-    def norm2(self, root) -> Fraction:
-        """(root, root) in the fixed normalization."""
-        acc = Fraction(0)
-        for i, a in enumerate(root):
+    def _form(self, vec) -> Fraction:
+        """(vec, vec) by the bilinear-form double sum, taken over twice the
+        form, which has integer entries."""
+        bil2 = self._bil2
+        acc = 0
+        for i, a in enumerate(vec):
             if a:
-                for j, b in enumerate(root):
+                row = bil2[i]
+                for j, b in enumerate(vec):
                     if b:
-                        acc += a * b * self._bil[i][j]
-        return acc
+                        acc += a * b * row[j]
+        return Fraction(acc, 2)
+
+    def norm2(self, root) -> Fraction:
+        """(root, root) in the fixed normalization; looked up for roots,
+        computed for any other vector."""
+        root = tuple(root)
+        n2 = self._root_norm2.get(root)
+        return self._form(root) if n2 is None else n2
 
     def length_class(self, root) -> str:
         """'long' or 'short'; every root is 'long' in a simply-laced system."""
@@ -364,10 +378,13 @@ class RootSystem:
 
     def epsilon_to_root(self, eps):
         """Inverse of root_to_epsilon; raises if the vector is not a root."""
-        for r in self.all_roots:
-            if self.root_to_epsilon(r) == tuple(Fraction(e) for e in eps):
-                return r
-        raise RootSystemError(f"{eps} is not a root of {self.rstype}")
+        if self._epsilon_index is None:
+            self._epsilon_index = {self.root_to_epsilon(r): r
+                                   for r in self.all_roots}
+        root = self._epsilon_index.get(tuple(Fraction(e) for e in eps))
+        if root is None:
+            raise RootSystemError(f"{eps} is not a root of {self.rstype}")
+        return root
 
     def __repr__(self):
         return f"RootSystem({self.rstype})"
@@ -398,19 +415,20 @@ class StructureConstants:
     Chevalley basis; downstream orbit counts must not depend on the choice.
     """
 
-    def __init__(self, rs: RootSystem, convention: str = "extraspecial"):
-        if convention not in ("extraspecial", "twisted"):
-            raise RootSystemError(f"unknown sign convention {convention!r}")
+    def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.convention = convention
-        self._pos = self._positive_table()
-        self.table = self._full_table()
-        if convention == "twisted":
-            tw = {}
-            for (a, b), v in self.table.items():
-                s = tuple(x + y for x, y in zip(a, b))
-                tw[(a, b)] = v * self._chi(a) * self._chi(b) * self._chi(s)
-            self.table = tw
+        self.convention = "extraspecial"
+        self.table = self._full_table(self._positive_table())
+
+    def twisted(self) -> "StructureConstants":
+        """The same basis rescaled to the twisted convention."""
+        chi = self._chi
+        out = copy.copy(self)
+        out.convention = "twisted"
+        out.table = {(a, b): v * chi(a) * chi(b)
+                     * chi(tuple(x + y for x, y in zip(a, b)))
+                     for (a, b), v in self.table.items()}
+        return out
 
     @staticmethod
     def _chi(root):
@@ -497,9 +515,9 @@ class StructureConstants:
                     pos[(b, a)] = -nval
         return pos
 
-    def _full_table(self):
+    def _full_table(self, pos):
         rs = self.rs
-        full = dict(self._pos)
+        full = dict(pos)
 
         def vdiff(a, b):
             return tuple(x - y for x, y in zip(a, b))
@@ -507,8 +525,8 @@ class StructureConstants:
         for a in rs.positive_roots:
             for b in rs.positive_roots:
                 na, nb = rs._neg(a), rs._neg(b)
-                if (a, b) in self._pos:
-                    full[(na, nb)] = -self._pos[(a, b)]
+                if (a, b) in pos:
+                    full[(na, nb)] = -pos[(a, b)]
                 if a == b:
                     continue
                 # mixed pair (a, -b): a - b must be a root
@@ -516,11 +534,11 @@ class StructureConstants:
                 if d in rs.index:
                     if sum(d) > 0:
                         # a + (-b) + (-d) = 0 with (b, d) positive summing to a
-                        val = Fraction(-self._pos[(b, d)]) * rs.norm2(d) / rs.norm2(a)
+                        val = Fraction(-pos[(b, d)]) * rs.norm2(d) / rs.norm2(a)
                     else:
                         nu = rs._neg(d)
                         # a + (-b) + nu = 0 with (nu, a) positive summing to b
-                        val = Fraction(self._pos[(nu, a)]) * rs.norm2(nu) / rs.norm2(b)
+                        val = Fraction(pos[(nu, a)]) * rs.norm2(nu) / rs.norm2(b)
                     assert val.denominator == 1
                     full[(a, nb)] = int(val)
                     full[(nb, a)] = -int(val)
@@ -528,5 +546,16 @@ class StructureConstants:
 
 
 @lru_cache(maxsize=None)
-def structure_constants(rstype: RootSystemType, convention: str = "extraspecial") -> StructureConstants:
-    return StructureConstants(build(rstype), convention)
+def structure_constants(rstype: RootSystemType,
+                        convention: str | None = None) -> StructureConstants:
+    """The type's structure constants, built once per process.
+
+    The default (None) and "extraspecial" name one table, the same object;
+    "twisted" is that table rescaled."""
+    if convention is None:
+        return StructureConstants(build(rstype))
+    if convention == "extraspecial":
+        return structure_constants(rstype)
+    if convention == "twisted":
+        return structure_constants(rstype).twisted()
+    raise RootSystemError(f"unknown sign convention {convention!r}")

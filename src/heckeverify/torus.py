@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -70,20 +71,36 @@ class TorusPoint:
 
     def pairing_q(self, root) -> Fraction:
         """q-exponent <root, vq>, reduced mod m when the order is finite."""
-        val = self._pair(self.vq, root)
+        val = self._pair(self._simple_q, root)
         return val % self.order if self.order else val
 
-    def _pair(self, vec, root) -> Fraction:
-        # <root, vec> where vec is in coroot coordinates: row-of-Cartan dot
-        out = Fraction(0)
-        for i, c in enumerate(root):
-            if c:
-                out += c * sum(Fraction(self.rs.cartan[i][k]) * vec[k]
-                               for k in range(self.rs.rank))
-        return out
+    def _simple_pairings(self, vec):
+        """<alpha_i, vec> for each simple root i, as integer numerators
+        over one common denominator."""
+        # vec is in coroot coordinates: each pairing is a row-of-Cartan dot
+        cartan, n = self.rs.cartan, self.rs.rank
+        vals = [sum(Fraction(cartan[i][k]) * vec[k] for k in range(n))
+                for i in range(n)]
+        den = lcm(*(v.denominator for v in vals))
+        return tuple(v.numerator * (den // v.denominator) for v in vals), den
+
+    @cached_property
+    def _simple_q(self):
+        return self._simple_pairings(self.vq)
+
+    @cached_property
+    def _simple_tor(self):
+        return self._simple_pairings(self.tor)
+
+    @staticmethod
+    def _pair(simple, root) -> Fraction:
+        # <root, vec> is linear in the root: the simple-root pairings
+        # weighted by the root's coordinates
+        nums, den = simple
+        return Fraction(sum(c * x for c, x in zip(root, nums)), den)
 
     def pairing_torsion(self, root) -> Fraction:
-        return self._pair(self.tor, root) % 1
+        return self._pair(self._simple_tor, root) % 1
 
     def eval_exponent(self, root):
         """The exponent k with root(s) = q^k; defined when the torsion part
@@ -97,14 +114,10 @@ class TorusPoint:
 
     def reflect(self, i: int) -> "TorusPoint":
         """Apply the simple reflection s_i (coweight action)."""
-        hq = sum(Fraction(self.rs.cartan[i][k]) * self.vq[k]
-                 for k in range(self.rs.rank))
-        ht = sum(Fraction(self.rs.cartan[i][k]) * self.tor[k]
-                 for k in range(self.rs.rank))
         vq = list(self.vq)
         tor = list(self.tor)
-        vq[i] -= hq
-        tor[i] -= ht
+        vq[i] -= self._pair(self._simple_q, self.rs.simples[i])
+        tor[i] -= self._pair(self._simple_tor, self.rs.simples[i])
         return TorusPoint.make(self.rs, self.order, vq, tor)
 
     def key(self):
@@ -115,8 +128,7 @@ def _solve_exponents(rs: RootSystem, wanted):
     """Coweight v with <alpha_i, v> = wanted[i] for every simple root."""
     n = rs.rank
     # v_k given by C^{-1} applied to the wanted column
-    from .rootsystem import _invert_fraction_matrix
-    inv = _invert_fraction_matrix(rs.cartan)
+    inv = rs.fundamental_weights
     return tuple(sum(inv[k][j] * Fraction(wanted[j]) for j in range(n))
                  for k in range(n))
 
@@ -142,8 +154,7 @@ def mixed_point(rs: RootSystem, order) -> TorusPoint:
 def center_representatives(rs: RootSystem):
     """Coset representatives of the center P^vee/Q^vee, as torsion coweights
     (coordinates mod 1).  The identity comes first."""
-    from .rootsystem import _invert_fraction_matrix
-    inv = _invert_fraction_matrix(rs.cartan)
+    inv = rs.fundamental_weights     # the inverse Cartan matrix
     gens = [tuple(inv[k][j] % 1 for k in range(rs.rank)) for j in range(rs.rank)]
     zero = (Fraction(0),) * rs.rank
     seen = {zero}

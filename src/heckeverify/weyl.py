@@ -349,8 +349,13 @@ def cyclotomic(m: int):
 
 def poincare(rs: RootSystem):
     """Coefficients of sum_w q^l(w), ascending; computed from the degrees."""
+    return _poincare(rs.degrees)
+
+
+@lru_cache(maxsize=None)
+def _poincare(degrees):
     out = [1]
-    for d in rs.degrees:
+    for d in degrees:
         out = _poly_mul(out, [1] * d)
     return tuple(out)
 
@@ -365,7 +370,12 @@ def poincare_vanishes(rs: RootSystem, m) -> bool:
         return False
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"order must be an integer >= 2 or inf, got {m!r}")
-    return not _poly_mod(list(poincare(rs)), list(cyclotomic(m)))
+    return _vanishes(rs.degrees, m)
+
+
+@lru_cache(maxsize=None)
+def _vanishes(degrees, m):
+    return not _poly_mod(list(_poincare(degrees)), list(cyclotomic(m)))
 
 
 def vanishes_by_degrees(rs: RootSystem, m) -> bool:

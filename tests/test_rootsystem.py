@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from heckeverify.rootsystem import (
-    RootSystemError, RootSystemType, build, degrees_of, parse_type,
-    structure_constants,
+    RootSystemError, RootSystemType, StructureConstants, build, degrees_of,
+    parse_type, structure_constants,
 )
 
 ALL_SMALL = ["A1", "A2", "A3", "B2", "B3", "C3", "C4", "D4", "D5", "F4", "G2"]
@@ -117,6 +117,29 @@ def test_epsilon_views():
     assert f4.epsilon_to_root((1, 0, 0, 0)) == (1, 2, 3, 2)
     with pytest.raises(RootSystemError):
         build(parse_type("E6")).root_to_epsilon((1, 0, 0, 0, 0, 0))
+    with pytest.raises(RootSystemError):
+        b3.epsilon_to_root((2, 0, 0))
+    for t in ("B3", "C4", "D9", "F4"):
+        rs = build(parse_type(t))
+        for r in rs.all_roots:
+            assert rs.epsilon_to_root(rs.root_to_epsilon(r)) == r
+
+
+@pytest.mark.parametrize("t", ["B4", "C4", "F4", "G2", "E8"])
+def test_cached_norms_equal_the_form(t):
+    rs = build(parse_type(t))
+
+    def form(v):
+        return sum((a * b * rs._bil[i][j] for i, a in enumerate(v)
+                    for j, b in enumerate(v)), Fraction(0))
+
+    for r in rs.all_roots:
+        n2 = rs.norm2(r)
+        assert isinstance(n2, Fraction) and n2 == form(r), r
+    # a vector that is not a root is computed, not looked up
+    twice = tuple(2 * c for c in rs.highest_root)
+    assert not rs.is_root(twice)
+    assert rs.norm2(twice) == form(twice) == 4 * rs.norm2(rs.highest_root)
 
 
 def test_coroot_coords_integral_and_dual():
@@ -230,6 +253,50 @@ def test_extraspecial_pairs_positive():
                 if rem in rs.index and sum(rem) > 0:
                     assert sc.n(s, rem) > 0
                     break
+
+
+@pytest.mark.parametrize("t", ["G2", "F4", "E7"])
+def test_both_spellings_give_one_table(t):
+    ty = parse_type(t)
+    assert structure_constants(ty) is structure_constants(ty, "extraspecial")
+    with pytest.raises(RootSystemError):
+        structure_constants(ty, "bogus")
+
+
+def test_extraspecial_table_built_once_per_type(monkeypatch):
+    built = []
+    init = StructureConstants.__init__
+
+    def spy(self, rs):
+        built.append(str(rs.rstype))
+        init(self, rs)
+
+    monkeypatch.setattr(StructureConstants, "__init__", spy)
+    structure_constants.cache_clear()
+    for t in ("G2", "B3", "G2", "B3"):
+        ty = parse_type(t)
+        structure_constants(ty)
+        structure_constants(ty, "extraspecial")
+        structure_constants(ty, "twisted")
+    assert built == ["G2", "B3"]
+
+
+def _chi(root):
+    return -1 if (root[0] * root[1]) % 2 else 1
+
+
+@pytest.mark.parametrize("t", ["G2", "B3", "F4"])
+def test_twisted_table_rescales_the_extraspecial_one(t):
+    rs = build(parse_type(t))
+    fresh = StructureConstants(rs).table
+    want = {(a, b): v * _chi(a) * _chi(b)
+            * _chi(tuple(x + y for x, y in zip(a, b)))
+            for (a, b), v in fresh.items()}
+    tw = structure_constants(parse_type(t), "twisted")
+    assert tw.convention == "twisted" and tw.rs is rs
+    assert tw.table == want
+    # rescaling leaves the cached extraspecial table as it was
+    assert structure_constants(parse_type(t)).table == fresh
 
 
 def test_simply_laced_constants_are_units():

@@ -1,17 +1,20 @@
 """Sweep configuration and orchestration.
 
-Full-sweep content is exercised by the acceptance tests; here we pin the
-configuration surface (validation, file loading, selection) and the
-determinism of small selected runs, including the worked examples: the
-E8.o16 selection yields exactly its five case records, and a prime bound
-that is too small turns a case into skipped records rather than failures.
+Here we pin the configuration surface (validation, file loading,
+selection) and the determinism of small selected runs, including the
+worked examples: the E8.o16 selection yields exactly its five case
+records, and a prime bound that is too small turns a case into skipped
+records rather than failures.  Full-sweep content is covered unit by
+unit: the plan-coverage tests at the end of this file run whole groups of
+plan units (every `*.regular` unit) through `verify_all`, and a unit that
+raises must still leave the rest of the report.
 """
 
 import json
 
 import pytest
 
-from heckeverify import report
+from heckeverify import hecke, report, verify
 from heckeverify.verify import (
     ConfigError, RunConfig, config_from_dict, config_from_file, verify_all,
 )
@@ -119,3 +122,54 @@ def test_report_counts_and_exit_code():
     assert rep.counts["pass"] == 1
     assert rep.failures == ()
     assert rep.exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# failures stay inside their unit
+
+
+def test_raising_unit_becomes_one_failed_record(monkeypatch):
+    def boom():
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify.UNITS, "irr-exceptional", boom)
+    rep = verify_all(RunConfig(cases=("A2.roots", "A.orders", "irr.exceptional")))
+    assert report.lint(rep.records) == []
+    by_case = {r["case"]: r for r in rep.records}
+    assert set(by_case) == {"A2.roots", "A.orders", "irr.exceptional"}
+    assert by_case["A2.roots"]["status"] == "pass"
+    assert by_case["A.orders"]["status"] == "pass"
+    err = by_case["irr.exceptional"]
+    assert err["claim_id"] == "irr.exceptional/error"
+    assert err["status"] == "fail"
+    assert err["expected"] == "no exception"
+    assert err["computed"] == "RuntimeError: boom"
+    assert rep.failures == (err,)
+    assert rep.exit_code == 1
+    assert report.emit(rep.records)
+
+
+def test_theta_ball_counts_every_failing_pair(monkeypatch):
+    monkeypatch.setattr(hecke, "_cleared_theta_product",
+                        lambda rs, x, y, zc: None)
+    recs = {r["claim_id"]: r for r in verify.unit_theta_ball("A2", 2)}
+    products = recs["A2.ball/theta-products"]
+    assert products["status"] == "fail"
+    # every ordered pair of the 25-weight ball fails: 25 * 25 products
+    assert products["computed"] == {"failures": 625}
+    assert len(hecke.verify_bernstein("A2")[0]["detail"]["failing_pairs"]) == 5
+    for claim in ("theta-independence", "central-sums"):
+        assert recs[f"A2.ball/{claim}"]["computed"] == {"failures": 0}
+
+
+# ---------------------------------------------------------------------------
+# plan coverage
+
+
+def test_every_regular_unit_passes():
+    cases = tuple(case for _, case, unit, _ in verify._plan(RunConfig())
+                  if unit == "regular-count")
+    assert len(cases) == len(verify.REGULAR_TYPES) == 10
+    rep = verify_all(RunConfig(cases=cases))
+    assert [r["case"] for r in rep.records] == list(cases)
+    assert all(r["status"] == "pass" for r in rep.records), rep.failures

@@ -135,6 +135,16 @@ def test_vanishing_three_ways(name):
         assert by_poly == by_deg, (name, m)
 
 
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_memoised_vanishing_agrees_with_degrees(name):
+    rs = rs_of(name)
+    assert poincare(rs) is poincare(rs)
+    for m in range(2, 32):
+        first = poincare_vanishes(rs, m)
+        assert poincare_vanishes(rs, m) is first
+        assert first == vanishes_by_degrees(rs, m), (name, m)
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
 def test_vanishing_matches_complex_evaluation(name):
     # numeric sanity for small groups where magnitudes are tame
