@@ -2,8 +2,10 @@
 
 One binary with a subcommand per module and `verify` to run the whole
 sweep.  Inspection subcommands print JSON (or plain text where noted) and
-exit 0; checking subcommands exit 1 when any claim fails; configuration
-problems, including bad arguments and library refusals, exit 2.
+exit 0.  Checking subcommands (`orbits` without `--joint`, `hecke`) print
+the report records of the matching sweep units, in the one record shape
+`verify` emits, and exit 1 when any claim fails; configuration problems,
+including bad arguments and library refusals, exit 2.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from dataclasses import replace
 
 from . import cases, nilorbits, report
 from .cases import CaseError
-from .hecke import (
-    HeckeError, build_D_Dprime, verify_bernstein, verify_translation_words,
-)
+from .hecke import HeckeError, verify_bernstein, verify_translation_words
 from .nilorbits import NilOrbitError
 from .partitions import PartitionError, check_inequalities, p, typeD_bound, typeD_count
 from .rootsystem import RootSystemError, build, parse_type
@@ -25,7 +25,9 @@ from .torus import (
     TorusError, centralizer_roots, centralizer_signature, mixed_point,
     standard_point,
 )
-from .verify import ConfigError, RunConfig, config_from_file, verify_all
+from .verify import (
+    ConfigError, RunConfig, config_from_file, unit_spanning_sums, verify_all,
+)
 from .weyl import WeylBudgetError, irr_count, poincare, valid_orders
 
 _USAGE_ERRORS = (ConfigError, RootSystemError, TorusError, NilOrbitError,
@@ -135,32 +137,26 @@ def cmd_orbits(args):
         rs = build(parse_type(args.type))
         if primes is None:
             primes = nilorbits.admissible_primes(args.order)
-        sc = nilorbits.structure_constants(rs.rstype)
         nm = nilorbits.build_nqs(rs, standard_point(rs, args.order))
-        parts = nilorbits.decompose(nm, sc)
         table = cases.case_table(rs.rstype, args.order)
-        if table is not None and table.detailed:
-            # indices name the recorded modules M1, M2, ...
-            by_support = {frozenset(s.support): s for s in parts}
-            subs, names = [], []
-            for i in picks:
-                name = f"M{i}"
-                if name not in table.modules:
-                    raise ConfigError(
-                        f"--joint index {i}: no module {name} on record "
-                        f"for {rs.rstype}.o{args.order}")
-                subs.append(by_support[table.module_support(name)])
-                names.append(name)
-        else:
-            for i in picks:
-                if not 1 <= i <= len(parts):
-                    raise ConfigError(
-                        f"--joint index {i} out of range; the decomposition "
-                        f"has {len(parts)} submodules")
-            subs = [parts[i - 1] for i in picks]
-            names = [f"C{i}" for i in picks]
+        named = nilorbits.named_components(table, nilorbits.decompose(nm))
+        # indices name the recorded modules M1, M2, ... or, with no
+        # detailed table, the components C1, C2, ...
+        recorded = table is not None and table.detailed
+        names = [f"{'M' if recorded else 'C'}{i}" for i in picks]
+        for i, name in zip(picks, names):
+            if name in named:
+                continue
+            if recorded:
+                raise ConfigError(
+                    f"--joint index {i}: no module {name} on record "
+                    f"for {rs.rstype}.o{args.order}")
+            raise ConfigError(
+                f"--joint index {i} out of range; the decomposition "
+                f"has {len(named)} submodules")
+        subs = [named[name] for name in names]
         counts = [(q, nilorbits.orbit_count_ff(
-                      nm, subs, q, sc=sc, cap=args.cap,
+                      nm, subs, q, cap=args.cap,
                       state_budget=args.state_budget).count)
                   for q in primes]
         _print_json({
@@ -179,25 +175,21 @@ def cmd_orbits(args):
 
 
 def cmd_hecke(args):
+    """The records of the `words`, `<type>.ball` or `<type>.ddprime` unit,
+    filtered to the claims the check names."""
     if args.check == "words":
-        prefix = f"{args.type} "
+        prefix = f"words/{args.type.lower()}-"
         records = [r for r in verify_translation_words()
-                   if r["name"].startswith(prefix)]
+                   if r["claim_id"].startswith(prefix)]
         if not records:
             raise ConfigError(f"no recorded words for type {args.type}")
     elif args.check == "ddprime":
-        rs = build(parse_type(args.type))
-        try:
-            build_D_Dprime(rs)
-            records = [{"name": f"{rs.rstype} spanning sums", "status": "pass",
-                        "statement": "both spanning sums satisfy their "
-                                     "eigen-relations in the Laurent ring"}]
-        except HeckeError as e:
-            records = [{"name": f"{rs.rstype} spanning sums", "status": "fail",
-                        "statement": str(e)}]
+        records = unit_spanning_sums(args.type)
     else:
-        ball = verify_bernstein(args.type, args.radius)
-        records = ball[:2] if args.check == "theta" else ball[2:]
+        claims = (("theta-products", "theta-independence")
+                  if args.check == "theta" else ("central-sums",))
+        records = [r for r in verify_bernstein(args.type, args.radius)
+                   if r["claim_id"].split("/")[1] in claims]
     _print_json(records)
     return 1 if any(r["status"] == "fail" for r in records) else 0
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsystem import build, parse_type
+from . import report
+from .rootsystem import build, components, parse_type
 from .weyl import WeylElement, enumerate_group
 
 
@@ -546,23 +547,10 @@ def _bond_orders(rstype):
 def braid_classes(rstype):
     """Affine generator indices grouped by odd-bond connectivity; a
     one-dimensional character must be constant on each group."""
-    gens = affine_generators(rstype)
-    bonds = _bond_orders(rstype)
-    parent = list(range(len(gens)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j), m in bonds.items():
-        if m is not None and m % 2 == 1:
-            parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(len(gens)):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(tuple(g) for g in groups.values())
+    odd = [pair for pair, m in _bond_orders(rstype).items()
+           if m is not None and m % 2 == 1]
+    return sorted(tuple(g) for g in
+                  components(len(affine_generators(rstype)), odd))
 
 
 def one_dim_character(rstype, assignment) -> dict:
@@ -644,14 +632,16 @@ def _word_product(rs, gens, word, prefix=None):
 def verify_translation_words():
     """Check every recorded translation word against the group law.
 
-    Each record confirms the word lands on the right translation and that
-    its letter count equals the translation's length, so the corresponding
-    Hecke product is length-additive and the operator identity follows."""
+    Each `words/<slug>` record confirms the word lands on the right
+    translation and that its letter count equals the translation's length,
+    so the corresponding Hecke product is length-additive and the operator
+    identity follows."""
     records = []
 
-    def rec(name, ok, statement):
-        records.append({"name": name, "status": "pass" if ok else "fail",
-                        "statement": statement})
+    def rec(slug, ok, statement):
+        records.append(report.make_record(
+            "hecke", "words", slug, f"word table {slug}", statement,
+            {"holds": True}, {"holds": bool(ok)}, "pass" if ok else "fail"))
 
     for n in range(1, 5):
         rstype = parse_type(f"A{n}")
@@ -668,7 +658,7 @@ def verify_translation_words():
                                                for j in range(n)))
             ok = (got == target and length(target) == len(word)
                   and len(word) == i * (n + 1 - i))
-            rec(f"A{n} word x{i}", ok,
+            rec(f"a{n}-x{i}", ok,
                 f"rotation power {n + 1 - i} then {len(word)} letters lands "
                 f"on the fundamental translation x{i}, length {i * (n + 1 - i)}")
     rstype = parse_type("F4")
@@ -676,7 +666,7 @@ def verify_translation_words():
     gens = affine_generators(rstype)
     got = _word_product(rs, gens, F4_WORD)
     target = ext_translation(rs, (0, 0, 0, 1))
-    rec("F4 word x4", got == target and length(target) == len(F4_WORD),
+    rec("f4-x4", got == target and length(target) == len(F4_WORD),
         "the recorded 16-letter word is a reduced expression of the fourth "
         "fundamental translation")
     rstype = parse_type("G2")
@@ -685,14 +675,14 @@ def verify_translation_words():
     for i, word in sorted(G2_WORDS.items()):
         got = _word_product(rs, gens, word)
         target = ext_translation(rs, tuple(int(j == i - 1) for j in range(2)))
-        rec(f"G2 word x{i}", got == target and length(target) == len(word),
+        rec(f"g2-x{i}", got == target and length(target) == len(word),
             f"the recorded {len(word)}-letter word is a reduced expression "
             f"of the fundamental translation x{i}")
     fw = build(parse_type("G2")).fundamental_weights
-    rec("G2 lattice", tuple(fw[0]) == (2, 1) and tuple(fw[1]) == (3, 2),
+    rec("g2-lattice", tuple(fw[0]) == (2, 1) and tuple(fw[1]) == (3, 2),
         "in root coordinates the fundamental weights are 2a1+a2 and 3a1+2a2")
     g0, g2 = gens[0], gens[2]
-    rec("G2 commuting wall", g0 * g2 == g2 * g0,
+    rec("g2-commuting-wall", g0 * g2 == g2 * g0,
         "the affine generator commutes with the long-root generator")
     return records
 
@@ -727,13 +717,24 @@ def verify_bernstein(rstype, radius=2):
     dominant translation (an invertible basis element, so equality before
     and after clearing agree).  Decomposition independence of theta and
     centrality of the orbit sums over the fundamental weights are checked
-    directly."""
+    directly.  Returns the three `<type>.ball` records; a failing record's
+    computed side also names the offending pairs (at most five products)."""
     rstype = parse_type(rstype) if isinstance(rstype, str) else rstype
     rs = build(rstype)
     if rs.rank > PRODUCT_RANK_CAP:
         raise HeckeError(
             f"rank {rs.rank} is over the rank-{PRODUCT_RANK_CAP} product cap")
     records = []
+
+    def rec(claim, statement, bad, shown):
+        computed = {"failures": len(bad)}
+        if bad:
+            computed["failing_pairs"] = shown
+        records.append(report.make_record(
+            "hecke", f"{rstype}.ball", claim, f"commuting family {rstype}",
+            statement, {"failures": 0}, computed,
+            "fail" if bad else "pass"))
+
     ball = _ball(rs.rank, radius)
     bad = []
     pairs = 0
@@ -754,13 +755,9 @@ def verify_bernstein(rstype, radius=2):
                              length(ext_translation(rs, ys)): 1}))
                 if _cleared_theta_product(rs, a, b, zc) != target:
                     bad.append((a, b))
-    records.append({
-        "name": f"{rstype} theta ball",
-        "status": "pass" if not bad else "fail",
-        "statement": f"products and transposes of {pairs} weight pairs at "
-                     f"radius {radius} all match the sum weight",
-        "failures": len(bad),
-        "detail": {"failing_pairs": bad[:5]}})
+    rec("theta-products",
+        f"products and transposes of {pairs} weight pairs at radius {radius} "
+        f"all match the sum weight", bad, bad[:5])
 
     probe = [tuple(int(j == i) for j in range(rs.rank))
              for i in range(rs.rank)]
@@ -781,13 +778,9 @@ def verify_bernstein(rstype, radius=2):
                 basis_inverse(rs, tz))
             if alt != base:
                 indep_bad.append((x, k))
-    records.append({
-        "name": f"{rstype} theta independence",
-        "status": "pass" if not indep_bad else "fail",
-        "statement": f"{len(probe)} weights rebuilt from 3 decompositions "
-                     f"each give one value",
-        "failures": len(indep_bad),
-        "detail": {"failures": indep_bad}})
+    rec("theta-independence",
+        f"{len(probe)} weights rebuilt from 3 decompositions each give one "
+        f"value", indep_bad, indep_bad)
 
     central_bad = []
     for i in range(rs.rank):
@@ -800,11 +793,7 @@ def verify_bernstein(rstype, radius=2):
             to = HeckeElement.basis(rs, om)
             if hecke_mul(to, s) != hecke_mul(s, to):
                 central_bad.append((i + 1, om))
-    records.append({
-        "name": f"{rstype} central sums",
-        "status": "pass" if not central_bad else "fail",
-        "statement": "orbit sums over every fundamental weight commute with "
-                     "every affine generator and every length-zero element",
-        "failures": len(central_bad),
-        "detail": {"failures": central_bad}})
+    rec("central-sums",
+        "orbit sums over every fundamental weight commute with every affine "
+        "generator and every length-zero element", central_bad, central_bad)
     return records

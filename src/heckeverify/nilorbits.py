@@ -10,16 +10,15 @@ closed over every field scalar with a union-find.  Counting the same
 case over two primes and both sign conventions guards the arithmetic.
 """
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
 import numpy as np
 
-from . import cases
-from .rootsystem import (RootSystem, build, parse_type, structure_constants,
-                         _invert_fraction_matrix)
+from . import cases, report
+from .rootsystem import (RootSystem, build, components, parse_type,
+                         structure_constants, _invert_fraction_matrix)
 from .torus import TorusPoint, standard_point, roots_with_exponent
 from .weyl import poincare_vanishes, valid_orders
 
@@ -59,12 +58,10 @@ class OrbitCount:
     count: int
     primes_used: tuple = ()
     stable: bool = True
-    representatives: tuple = None
 
 
-def build_nqs(rs: RootSystem, s: TorusPoint) -> NilModule:
-    """The eigenspace spanned by the root lines of exponent one, together
-    with the exponent-zero roots whose one-parameter subgroups act on it."""
+def _refuse_point(rs: RootSystem, s: TorusPoint):
+    """Raise where the eigenspace analysis does not apply at this point."""
     m = s.order
     if m == 1:
         raise NilOrbitError(
@@ -74,6 +71,12 @@ def build_nqs(rs: RootSystem, s: TorusPoint) -> NilModule:
         raise NilOrbitError(
             f"the Poincare sum of {rs.rstype} vanishes at a primitive "
             f"order-{m} root of unity; the hypothesis fails")
+
+
+def build_nqs(rs: RootSystem, s: TorusPoint) -> NilModule:
+    """The eigenspace spanned by the root lines of exponent one, together
+    with the exponent-zero roots whose one-parameter subgroups act on it."""
+    _refuse_point(rs, s)
     basis = tuple(roots_with_exponent(rs, s, 1))
     gens = tuple(roots_with_exponent(rs, s, 0))
     have = set(basis)
@@ -96,40 +99,19 @@ def decompose(nm: NilModule, sc=None):
     if sc is None:
         sc = structure_constants(nm.rs.rstype)
     index = {r: i for i, r in enumerate(nm.basis_roots)}
-    parent = list(range(len(nm.basis_roots)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    edges = []
     for beta in nm.basis_roots:
         for gamma in nm.unipotent_generators:
             summed = tuple(x + y for x, y in zip(beta, gamma))
             if not nm.rs.is_root(summed):
                 continue
             assert summed in index, "bracket image left the eigenspace"
-            if sc.n(gamma, beta) == 0:
-                continue
-            a, b = find(index[beta]), find(index[summed])
-            if a != b:
-                parent[a] = b
-    comps = {}
-    for r in nm.basis_roots:
-        comps.setdefault(find(index[r]), []).append(r)
-    parts = [Submodule(tuple(sorted(c))) for c in comps.values()]
+            if sc.n(gamma, beta) != 0:
+                edges.append((index[beta], index[summed]))
+    parts = [Submodule(tuple(sorted(nm.basis_roots[i] for i in comp)))
+             for comp in components(nm.dim, edges)]
     parts.sort(key=lambda sub: sub.support[0])
     return parts
-
-
-def orbit_count_regular(rs: RootSystem) -> OrbitCount:
-    """Orbit count at a standard point of order beyond the largest exponent:
-    the basis is the simple roots, the weights are independent, and each
-    subset of the simples carries exactly one orbit."""
-    reps = tuple(tuple(rs.simples[i] for i in range(rs.rank) if mask >> i & 1)
-                 for mask in range(2 ** rs.rank))
-    return OrbitCount(2 ** rs.rank, (), True, representatives=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +473,19 @@ class CaseBound:
     stable: bool
     expected: object        # the recorded bound, if any
     bound_kind: str
+    # what the counts ran over: the eigenspace, the case table (None when
+    # nothing is on record) and its submodules by name
+    module: NilModule = field(repr=False, compare=False)
+    table: object = field(repr=False, compare=False)
+    components: dict = field(repr=False, compare=False)
 
 
-def _component_map(table, parts):
-    """Match computed components to the table's modules by support."""
+def named_components(table, parts):
+    """Submodules by name: with detailed lists on record, the table's
+    modules matched by support; otherwise C1, C2, ... in decomposition
+    order."""
+    if table is None or not table.detailed:
+        return {f"C{k + 1}": sub for k, sub in enumerate(parts)}
     by_support = {frozenset(sub.support): sub for sub in parts}
     out = {}
     missing = []
@@ -525,15 +516,14 @@ def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         raise NilOrbitError("stability needs at least two primes")
     sc = _constants(rs.rstype, convention)
     nm = build_nqs(rs, standard_point(rs, order))
-    parts = decompose(nm, sc)
     table = cases.case_table(rs.rstype, order)
+    named = named_components(table, decompose(nm, sc))
 
     if table is not None and table.detailed:
-        comp_of = _component_map(table, parts)
-        plan = [(g.modules, [comp_of[name] for name in g.modules], g.orbits)
+        plan = [(g.modules, [named[name] for name in g.modules], g.orbits)
                 for g in table.groupings]
     else:
-        plan = [((f"C{k + 1}",), [sub], None) for k, sub in enumerate(parts)]
+        plan = [((name,), [sub], None) for name, sub in named.items()]
 
     groups = []
     for names, subs, expected in plan:
@@ -559,29 +549,19 @@ def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         rstype=str(rs.rstype), order=order, groups=tuple(groups),
         product=product, stable=all(g.stable for g in groups),
         expected=table.bound if table else None,
-        bound_kind=table.bound_kind if table else "product")
-
-
-def _record(case, name, anchor, statement, expected, computed, status,
-            corrections=()):
-    return {
-        "case": case, "claim_id": f"{case}/{name}", "anchor": anchor,
-        "statement": statement, "expected": expected, "computed": computed,
-        "status": status,
-        "corrections": [
-            {"where": c.where, "recorded": c.recorded,
-             "corrected": c.corrected, "note": c.note}
-            for c in corrections],
-    }
+        bound_kind=table.bound_kind if table else "product",
+        module=nm, table=table, components=named)
 
 
 def _corrections_by_record(case, table):
     """Sort the case's correction entries under the record each one
-    annotates."""
+    annotates, each as a where/recorded/corrected/note dict."""
     out = {"generators": [], "q-roots": [], "decomposition": [],
            "orbit-counts": [], "bound": []}
     for corr in cases.corrections_for(case):
         where = corr.where
+        corr = {"where": where, "recorded": corr.recorded,
+                "corrected": corr.corrected, "note": corr.note}
         if where.startswith("roots."):
             label = where.split(".", 1)[1]
             gens = table.generators if table is not None else ()
@@ -600,56 +580,58 @@ def _corrections_by_record(case, table):
 
 def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
                 state_budget=DEFAULT_STATE_BUDGET):
-    """The five ordered checks for one (type, order) case: generator list,
-    exponent-one root list, decomposition, per-group orbit counts, final
-    bound.  Returns one record per check; documented table corrections ride
-    along in the record they annotate."""
+    """The five ordered report records for one (type, order) case:
+    generator list, exponent-one root list, decomposition, per-group orbit
+    counts, final bound.  Documented table corrections ride along in the
+    record they annotate."""
     rs = build(parse_type(str(rstype)))
-    table = cases.case_table(rs.rstype, order)
+    # an order the eigenspace analysis refuses is named the way build_nqs
+    # names it, ahead of case_bound's plain valid-order refusal
+    _refuse_point(rs, standard_point(rs, order))
+    bound = case_bound(rstype, order, primes=primes, cap=cap,
+                       state_budget=state_budget)
+    nm, table = bound.module, bound.table
     case = table.case_id if table else f"{rs.rstype}.o{order}"
-    sc = structure_constants(rs.rstype)
-    nm = build_nqs(rs, standard_point(rs, order))
-    parts = decompose(nm, sc)
-    records = []
-
-    pos_gens = frozenset(r for r in nm.unipotent_generators if sum(r) > 0)
-    simples = set(rs.simples)
-    nonsimple = frozenset(r for r in nm.basis_roots if r not in simples)
     notes = _corrections_by_record(case, table)
 
+    def record(name, anchor, statement, expected, computed, status):
+        return report.make_record(
+            "nilorbits", case, name, f"case table {case}: {anchor}",
+            statement, expected, computed, status, notes[name])
+
+    records = []
     detailed = table is not None and table.detailed
     if detailed:
         want = table.expected_generators()
-        records.append(_record(
-            case, "generators", f"case table {case}: generator roots",
+        pos_gens = frozenset(r for r in nm.unipotent_generators if sum(r) > 0)
+        records.append(record(
+            "generators", "generator roots",
             "positive exponent-zero roots match the recorded generator list",
             sorted(want), sorted(pos_gens),
-            "pass" if want == pos_gens else "fail", notes["generators"]))
+            "pass" if want == pos_gens else "fail"))
         want = table.expected_q_roots()
-        records.append(_record(
-            case, "q-roots", f"case table {case}: exponent-one roots",
+        simples = set(rs.simples)
+        nonsimple = frozenset(r for r in nm.basis_roots if r not in simples)
+        records.append(record(
+            "q-roots", "exponent-one roots",
             "non-simple exponent-one roots match the recorded list",
             sorted(want), sorted(nonsimple),
-            "pass" if want == nonsimple else "fail", notes["q-roots"]))
+            "pass" if want == nonsimple else "fail"))
         want_supports = {frozenset(table.module_support(n)) for n in table.modules}
-        got_supports = {frozenset(s.support) for s in parts}
+        got_supports = {frozenset(s.support) for s in bound.components.values()}
         sizes = sorted(len(s) for s in got_supports)
-        records.append(_record(
-            case, "decomposition", f"case table {case}: submodule supports",
+        records.append(record(
+            "decomposition", "submodule supports",
             "bracket-graph components match the recorded submodules",
             sorted(sorted(len(s) for s in want_supports)), sizes,
-            "pass" if want_supports == got_supports else "fail",
-            notes["decomposition"]))
+            "pass" if want_supports == got_supports else "fail"))
     else:
         note = f"no detailed lists on record for {case}"
         for name, anchor in (("generators", "generator roots"),
                              ("q-roots", "exponent-one roots"),
                              ("decomposition", "submodule supports")):
-            records.append(_record(case, name, f"case table {case}: {anchor}",
-                                   note, None, None, "skipped", notes[name]))
+            records.append(record(name, anchor, note, None, None, "skipped"))
 
-    bound = case_bound(rstype, order, primes=primes, cap=cap,
-                       state_budget=state_budget)
     per_group = []
     asserted = True
     ok = True
@@ -668,12 +650,11 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         for grouping in table.groupings:
             if not grouping.representatives:
                 continue
-            comp_of = _component_map(table, parts)
             reps = [tuple(table.root(lbl) for lbl in rep)
                     for rep in grouping.representatives]
-            subs = [comp_of[name] for name in grouping.modules]
+            subs = [bound.components[name] for name in grouping.modules]
             distinct = all(
-                representatives_distinct(nm, subs, reps, p, sc=sc, cap=cap,
+                representatives_distinct(nm, subs, reps, p, cap=cap,
                                          state_budget=state_budget)
                 for p in (primes or admissible_primes(order)))
             reps_note = (f"{len(reps)} recorded representatives lie in "
@@ -684,11 +665,9 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
     statement = "per-group orbit counts match the recorded counts"
     if reps_note:
         statement += f"; {reps_note}"
-    records.append(_record(
-        case, "orbit-counts", f"case table {case}: orbit counts",
-        statement,
-        [g.expected for g in bound.groups], per_group, status,
-        notes["orbit-counts"]))
+    records.append(record(
+        "orbit-counts", "orbit counts", statement,
+        [g.expected for g in bound.groups], per_group, status))
 
     if bound.expected is None:
         status = "informational"
@@ -698,11 +677,11 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         status = "pass" if bound.product >= bound.expected else "fail"
     else:
         status = "pass" if bound.product == bound.expected else "fail"
-    records.append(_record(
-        case, "bound", f"case table {case}: orbit-count bound",
+    records.append(record(
+        "bound", "orbit-count bound",
         {"product": "product of group counts equals the recorded bound",
          "exact": "product of group counts equals the recorded total",
          "at-least": "product of group counts reaches the recorded bound",
          }[bound.bound_kind],
-        bound.expected, bound.product, status, notes["bound"]))
+        bound.expected, bound.product, status))
     return records

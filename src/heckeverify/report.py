@@ -1,9 +1,11 @@
 """Claim records and deterministic report emission.
 
-A claim record is a plain dict with a fixed field set.  The json-lines
-format writes one record per line with the fields always in the same order,
-so two runs over the same configuration produce byte-identical output; the
-text format is a human table grouped by stage.
+A claim record is a plain dict with a fixed field set, and `make_record` is
+the one place it is built: engines that judge a claim return such records,
+sweep units pass them on, and the checking subcommands print them.  The
+json-lines format writes one record per line with the fields always in the
+same order, so two runs over the same configuration produce byte-identical
+output; the text format is a human table grouped by stage.
 """
 
 from __future__ import annotations
@@ -32,19 +34,6 @@ def make_record(stage, case, name, anchor, statement, expected, computed,
         "expected": expected, "computed": computed, "status": status,
         "corrections": list(corrections),
     }
-
-
-def adopt_record(stage, rec) -> dict:
-    """Reshape a module-level record (already carrying case/claim_id/anchor/
-    statement/expected/computed/status) into the report field order."""
-    out = {"claim_id": rec["claim_id"], "stage": stage, "case": rec["case"],
-           "anchor": rec["anchor"], "statement": rec["statement"],
-           "expected": rec.get("expected"), "computed": rec.get("computed"),
-           "status": rec["status"],
-           "corrections": list(rec.get("corrections", ()))}
-    if out["status"] not in STATUSES:
-        raise ReportError(f"unknown status {out['status']!r}")
-    return out
 
 
 def jsonable(x):

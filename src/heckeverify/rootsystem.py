@@ -31,6 +31,7 @@ __all__ = [
     "StructureConstants",
     "parse_type",
     "build",
+    "components",
     "degrees_of",
     "structure_constants",
 ]
@@ -208,6 +209,25 @@ def _det_int(mat):
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     assert det.denominator == 1
     return int(det)
+
+
+def components(n, edges):
+    """Connected components of the graph on vertices 0..n-1, each an
+    ascending list, ordered by their least vertex."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 class RootSystem:

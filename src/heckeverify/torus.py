@@ -22,7 +22,8 @@ from math import lcm
 
 import numpy as np
 
-from .rootsystem import RootSystem, RootSystemType, build, parse_type
+from . import report
+from .rootsystem import RootSystem, RootSystemType, build, components
 from .weyl import DEFAULT_BUDGET, WeylBudgetError, poincare_vanishes, valid_orders
 
 __all__ = [
@@ -260,35 +261,20 @@ def centralizer_signature(rs: RootSystem, s: TorusPoint) -> SubsystemSignature:
     if not roots:
         return SubsystemSignature(())
     # components of the non-orthogonality graph are the irreducible pieces
-    idx = {r: i for i, r in enumerate(roots)}
-    parent = list(range(len(roots)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     corow = {r: rs.coroot_coords(r) for r in roots}
-    for i, a in enumerate(roots):
-        for j in range(i + 1, len(roots)):
-            b = roots[j]
-            # <a, b^vee> != 0 iff (a,b) != 0
-            val = sum(ca * sum(rs.cartan[k][l] * corow[b][l]
-                               for l in range(rs.rank))
-                      for k, ca in enumerate(a) if ca)
-            if val != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
 
-    groups = {}
-    for i in range(len(roots)):
-        groups.setdefault(find(i), []).append(roots[i])
+    def linked(a, b):
+        # <a, b^vee> != 0 iff (a,b) != 0
+        return sum(ca * sum(rs.cartan[k][l] * corow[b][l]
+                            for l in range(rs.rank))
+                   for k, ca in enumerate(a) if ca) != 0
 
+    edges = [(i, j) for i in range(len(roots))
+             for j in range(i + 1, len(roots)) if linked(roots[i], roots[j])]
     maxnorm = max(rs.norm2(r) for r in rs.all_roots)
     comps = []
-    for members in groups.values():
+    for group in components(len(roots), edges):
+        members = [roots[i] for i in group]
         pos = [r for r in members if any(c > 0 for c in r) and all(c >= 0 for c in r)]
         pos_set = set(pos)
         simples = []
@@ -305,10 +291,6 @@ def centralizer_signature(rs: RootSystem, s: TorusPoint) -> SubsystemSignature:
         ns = len(norms) - nl
         comps.append((fam, rk, len(members), nl, ns))
     return SubsystemSignature(tuple(sorted(comps)))
-
-
-def is_regular(rs: RootSystem, s: TorusPoint) -> bool:
-    return not centralizer_roots(rs, s)
 
 
 # ---------------------------------------------------------------------------
@@ -412,52 +394,52 @@ def verify_mixed_nonconjugacy(rstype: RootSystemType, m,
                               budget: int = DEFAULT_BUDGET) -> dict:
     """Check that the mixed point (short to q, long to 1/q) is not conjugate
     to the standard point, by centralizer signature when that already
-    separates them, else by exact orbit search."""
+    separates them, else by exact orbit search.  Returns the
+    `<type>.m<order>/nonconjugacy` record; an order outside the valid set
+    or an orbit search over budget gives a skipped record naming why."""
     rs = build(rstype)
     m = _norm_order(m)
-    record = {"case": f"{rstype}.mixed.m{'inf' if m is None else m}",
-              "type": str(rstype), "order": "inf" if m is None else m}
+    order = "inf" if m is None else m
+
+    def record(status, statement, non_conjugate=None, criterion=None):
+        computed = {"non_conjugate": non_conjugate}
+        if criterion is not None:
+            computed["criterion"] = criterion
+            statement += f" (separated by {criterion})"
+        return report.make_record(
+            "torus", f"{rstype}.m{order}", "nonconjugacy",
+            f"mixed-point table {rstype} o{order}", statement,
+            {"non_conjugate": True}, computed, status)
+
     if m is not None and m not in valid_orders(rs):
-        record.update(status="skipped",
-                      note=f"order {m} not in the valid-order set of {rstype}")
-        return record
+        return record("skipped",
+                      f"order {m} not in the valid-order set of {rstype}")
+    separated = "mixed and standard points lie in distinct rational classes"
     t = standard_point(rs, m)
     s = mixed_point(rs, m)
-    sig_t = centralizer_signature(rs, t)
-    sig_s = centralizer_signature(rs, s)
-    record["standard_signature"] = sig_t.describe()
-    record["mixed_signature"] = sig_s.describe()
-    if sig_s != sig_t:
-        record.update(non_conjugate=True, criterion="signature", status="pass")
-        return record
+    if centralizer_signature(rs, s) != centralizer_signature(rs, t):
+        return record("pass", separated, True, "signature")
     try:
         conj = conjugate_in_G(rs, s, t, budget)
     except WeylBudgetError as e:
-        record.update(status="unresolved", note=str(e))
-        return record
-    record.update(non_conjugate=not conj, criterion="orbit",
-                  status="pass" if not conj else "fail")
-    return record
+        return record("skipped", str(e))
+    if conj:
+        return record("fail", "not separated", False, "orbit")
+    return record("pass", separated, True, "orbit")
 
 
 def count_one_dim_characters(rstype: RootSystemType, m,
-                             budget: int = DEFAULT_BUDGET) -> dict:
+                             budget: int = DEFAULT_BUDGET) -> int:
     """Count pairwise non-conjugate points among the center translates of
     the standard and mixed points.  For the q=1 model (m=1) the count is
-    the center order itself."""
+    the center order itself: one character per central element."""
     rs = build(rstype)
     m = _norm_order(m)
     z_reps = center_representatives(rs)
-    record = {"type": str(rstype), "order": "inf" if m is None else m,
-              "center_order": len(z_reps)}
     if m == 1:
-        record.update(count=len(z_reps), classification="center",
-                      note="group algebra model: one character per central element")
-        return record
+        return len(z_reps)
     if m is not None and poincare_vanishes(rs, m):
-        record.update(status="refused",
-                      note=f"Poincare polynomial vanishes at order {m}")
-        return record
+        raise TorusError(f"Poincare polynomial vanishes at order {m}")
     classes = [rs.length_class(a) for a in rs.simples]
     if len(set(classes)) == 1:
         raise TorusError(f"{rstype} is simply laced; the doubling claim "
@@ -486,6 +468,4 @@ def count_one_dim_characters(rstype: RootSystemType, m,
                 if conjugate_in_G(rs, pt, other, budget):
                     assignment[j] = len(reps)
         reps.append(i)
-    record.update(count=len(reps), classification="standard+mixed center family",
-                  expected=2 * len(z_reps))
-    return record
+    return len(reps)

@@ -1,7 +1,9 @@
 """Plan and run the whole verification sweep.
 
-The run is a flat list of units, each a picklable (function, args) pair
-tagged with a stage and a case id.  Units run in a fixed order (root data,
+The run is a flat list of units, each a picklable (unit name, args) pair
+tagged with a stage and a case id.  A unit returns finished report records:
+it builds them from engine counts, or passes on the records of an engine
+that judges the claim itself.  Units run in a fixed order (root data,
 finite groups, partitions, torus points, nilpotent orbit cases, Hecke
 identities); with --jobs they fan out to worker processes, but records are
 assembled in plan order, so the emitted report is byte-identical no matter
@@ -9,7 +11,9 @@ how many workers ran.
 
 A unit failure never aborts the sweep: refusals from the library (budget,
 prime bound, enumeration size) turn into skipped records carrying the
-reason, anything else into a failed record.
+reason, anything else into a failed record.  A structural problem in the
+assembled report (say a duplicated claim id) adds one failed `report/lint`
+record; every record is still returned.
 """
 
 from __future__ import annotations
@@ -305,43 +309,22 @@ def unit_partition_inequalities(range_max, tau_max):
     return out
 
 
-def unit_mixed_nonconjugacy(name, m, budget):
-    rec = verify_mixed_nonconjugacy(parse_type(name), m, budget)
-    status = rec["status"] if rec["status"] in report.STATUSES else "skipped"
-    statement = ("mixed and standard points lie in distinct rational classes"
-                 if status == "pass" else rec.get("note", "not separated"))
-    computed = {"non_conjugate": rec.get("non_conjugate")}
-    if "criterion" in rec:
-        computed["criterion"] = rec["criterion"]
-        statement += f" (separated by {rec['criterion']})"
-    return [report.make_record(
-        "torus", f"{name}.m{m}", "nonconjugacy",
-        f"mixed-point table {name} o{m}", statement,
-        {"non_conjugate": True}, computed, status)]
-
-
 def unit_character_counts(name, m, budget):
     z = NON_SIMPLY_LACED_CENTER[parse_type(name).family]
-    r1 = count_one_dim_characters(parse_type(name), 1, budget)
-    rm = count_one_dim_characters(parse_type(name), m, budget)
-    recs = [report.make_record(
-        "torus", f"{name}.characters", "count-q1",
-        f"central character table {name}",
-        "the group-algebra model has one character class per central element",
-        z, r1["count"], "pass" if r1["count"] == z else "fail")]
-    if "count" not in rm:
-        recs.append(report.make_record(
-            "torus", f"{name}.characters", "count-generic",
-            f"central character table {name}",
-            rm.get("note", "refused"), 2 * z, None, "skipped"))
-    else:
-        recs.append(report.make_record(
-            "torus", f"{name}.characters", "count-generic",
-            f"central character table {name}",
+    c1 = count_one_dim_characters(parse_type(name), 1, budget)
+    cm = count_one_dim_characters(parse_type(name), m, budget)
+    case, anchor = f"{name}.characters", f"central character table {name}"
+    return [
+        report.make_record(
+            "torus", case, "count-q1", anchor,
+            "the group-algebra model has one character class per central "
+            "element", z, c1, "pass" if c1 == z else "fail"),
+        report.make_record(
+            "torus", case, "count-generic", anchor,
             f"at order {m} the standard and mixed families double the "
             f"character class count",
-            2 * z, rm["count"], "pass" if rm["count"] == 2 * z else "fail"))
-    return recs
+            2 * z, cm, "pass" if cm == 2 * z else "fail"),
+    ]
 
 
 def unit_orbit_case(name, order, prime_bound, dim_cap, state_budget):
@@ -357,9 +340,8 @@ def unit_orbit_case(name, order, prime_bound, dim_cap, state_budget):
                               ("decomposition", "submodule supports"),
                               ("orbit-counts", "orbit counts"),
                               ("bound", "orbit-count bound"))]
-    recs = nilorbits.verify_case(name, order, primes=primes, cap=dim_cap,
+    return nilorbits.verify_case(name, order, primes=primes, cap=dim_cap,
                                  state_budget=state_budget)
-    return [report.adopt_record("nilorbits", r) for r in recs]
 
 
 def unit_regular_count(name):
@@ -413,33 +395,6 @@ def unit_regular_count(name):
         f"counts match the content prediction",
         expected, computed,
         "pass" if computed == expected else "fail")]
-
-
-def _word_slug(name):
-    return name.replace(" word ", "-").replace(" ", "-").lower()
-
-
-def unit_translation_words():
-    out = []
-    for rec in verify_translation_words():
-        slug = _word_slug(rec["name"])
-        out.append(report.make_record(
-            "hecke", "words", slug, f"word table {slug}",
-            rec["statement"], {"holds": True},
-            {"holds": rec["status"] == "pass"}, rec["status"]))
-    return out
-
-
-def unit_theta_ball(name, radius):
-    out = []
-    claims = ("theta-products", "theta-independence", "central-sums")
-    recs = verify_bernstein(name, radius)
-    for claim, rec in zip(claims, recs):
-        out.append(report.make_record(
-            "hecke", f"{name}.ball", claim, f"commuting family {name}",
-            rec["statement"], {"failures": 0}, {"failures": rec["failures"]},
-            rec["status"]))
-    return out
 
 
 def _scalar_exponent(val):
@@ -568,12 +523,17 @@ UNITS = {
     "class-count": unit_class_count,
     "partition-values": unit_partition_values,
     "partition-inequalities": unit_partition_inequalities,
-    "mixed-nonconjugacy": unit_mixed_nonconjugacy,
+    # engines that return finished records are looked up by their
+    # module-level names at call time, so a wrapper later rebound onto such
+    # a name (a tracer's, say) is called; a dict value would keep the
+    # original function
+    "mixed-nonconjugacy": lambda name, m, budget: [
+        verify_mixed_nonconjugacy(parse_type(name), m, budget)],
     "character-counts": unit_character_counts,
     "orbit-case": unit_orbit_case,
     "regular-count": unit_regular_count,
-    "translation-words": unit_translation_words,
-    "theta-ball": unit_theta_ball,
+    "translation-words": lambda: verify_translation_words(),
+    "theta-ball": lambda name, radius: verify_bernstein(name, radius),
     "character-tables": unit_character_tables,
     "spanning-sums": unit_spanning_sums,
     "translation-lengths": unit_translation_lengths,
@@ -692,5 +652,9 @@ def verify_all(config: RunConfig = None) -> VerificationReport:
     records = [rec for chunk in chunks for rec in chunk]
     problems = report.lint(records)
     if problems:
-        raise report.ReportError("; ".join(problems))
+        # a malformed report is a failed run, not a lost one
+        records.append(report.make_record(
+            "report", "report", "lint", "report structure",
+            "claim ids are unique and every pass/fail claim has an anchor "
+            "and both sides", "no problems", problems, "fail"))
     return VerificationReport(config, tuple(records))

@@ -102,6 +102,15 @@ def test_orbits_detailed_case(capsys):
     assert bound["expected"] == 36 and bound["computed"] == 36
 
 
+def test_orbits_refusals_keep_their_wording(capsys):
+    rc, _, err = run(capsys, "orbits", "A3", "--order", "3")
+    assert rc == 2 and "Poincare sum of A3 vanishes" in err
+    rc, _, err = run(capsys, "orbits", "E6", "--order", "1")
+    assert rc == 2 and "order 1 makes the (q-1) factor vanish" in err
+    rc, _, err = run(capsys, "orbits", "E6", "--order", "13")
+    assert rc == 2 and "not a valid order for E6" in err
+
+
 def test_orbits_joint_counts_recorded_group(capsys):
     rc, data, _ = run_json(capsys, "orbits", "E8", "--order", "16",
                            "--joint", "1,3")
@@ -117,11 +126,23 @@ def test_orbits_joint_bad_index(capsys):
     assert rc == 2 and "M9" in err
 
 
+def test_orbits_joint_names_plain_table_components(capsys):
+    rc, data, _ = run_json(capsys, "orbits", "E6", "--order", "10",
+                           "--joint", "1,3")
+    assert rc == 0
+    assert data["modules"] == ["C1", "C3"]
+    assert set(data["counts"].values()) == {4}
+    rc, _, err = run(capsys, "orbits", "E6", "--order", "10",
+                     "--joint", "1,99")
+    assert rc == 2 and "out of range" in err and "6 submodules" in err
+
+
 def test_hecke_words(capsys):
     rc, data, _ = run_json(capsys, "hecke", "--type", "G2", "--check", "words")
     assert rc == 0
-    assert [r["name"] for r in data] == [
-        "G2 word x1", "G2 word x2", "G2 lattice", "G2 commuting wall"]
+    assert [r["claim_id"] for r in data] == [
+        "words/g2-x1", "words/g2-x2", "words/g2-lattice",
+        "words/g2-commuting-wall"]
     assert all(r["status"] == "pass" for r in data)
 
 
@@ -134,17 +155,21 @@ def test_hecke_theta_and_center_split_the_ball_records(capsys):
     rc, data, _ = run_json(capsys, "hecke", "--type", "A2", "--check", "theta",
                            "--radius", "1")
     assert rc == 0
-    assert [r["name"] for r in data] == ["A2 theta ball", "A2 theta independence"]
+    assert [r["claim_id"] for r in data] == [
+        "A2.ball/theta-products", "A2.ball/theta-independence"]
     rc, data, _ = run_json(capsys, "hecke", "--type", "A2", "--check", "center",
                            "--radius", "1")
     assert rc == 0
-    assert [r["name"] for r in data] == ["A2 central sums"]
+    assert [r["claim_id"] for r in data] == ["A2.ball/central-sums"]
 
 
 def test_hecke_ddprime(capsys):
     rc, data, _ = run_json(capsys, "hecke", "--type", "B2", "--check", "ddprime")
     assert rc == 0
     assert data[0]["status"] == "pass"
+    # the same record as the sweep's B2.ddprime unit, product check included
+    assert data[0]["claim_id"] == "B2.ddprime/eigen"
+    assert data[0]["computed"]["product_zero"] is True
 
 
 def test_hecke_rank_cap(capsys):

@@ -474,17 +474,21 @@ def test_translation_words_all_pass():
     records = verify_translation_words()
     assert len(records) == 15
     assert all(r["status"] == "pass" for r in records)
-    names = {r["name"] for r in records}
-    assert "A4 word x2" in names
-    assert "F4 word x4" in names
-    assert "G2 word x1" in names
-    assert "G2 lattice" in names
-    assert "G2 commuting wall" in names
+    names = {r["claim_id"] for r in records}
+    assert "words/a4-x2" in names
+    assert "words/f4-x4" in names
+    assert "words/g2-x1" in names
+    assert "words/g2-lattice" in names
+    assert "words/g2-commuting-wall" in names
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_bernstein_ball(name):
     records = verify_bernstein(name)
     assert len(records) == 3
+    assert [r["claim_id"] for r in records] == [
+        f"{name}.ball/theta-products", f"{name}.ball/theta-independence",
+        f"{name}.ball/central-sums"]
     for r in records:
         assert r["status"] == "pass", r
+        assert r["computed"] == {"failures": 0}

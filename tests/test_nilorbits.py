@@ -5,8 +5,7 @@ from heckeverify import nilorbits as no
 from heckeverify.cases import case_table, type_d_bound
 from heckeverify.nilorbits import (NilOrbitError, admissible_primes, build_nqs,
                                    case_bound, decompose, orbit_count_ff,
-                                   orbit_count_regular, representatives_distinct,
-                                   verify_case)
+                                   representatives_distinct, verify_case)
 from heckeverify.rootsystem import build, parse_type, structure_constants
 from heckeverify.torus import standard_point
 from heckeverify.weyl import valid_orders
@@ -108,19 +107,6 @@ def test_decompose_at_infinite_order_gives_singletons():
     nm = build_nqs(rs, standard_point(rs, None))
     parts = decompose(nm)
     assert [p.dim for p in parts] == [1] * rs.rank
-
-
-# --- regular count -----------------------------------------------------------
-
-
-def test_regular_count_is_two_to_the_rank():
-    for rstype in ("A1", "A2", "B3", "D4", "G2", "E8"):
-        rs = build(parse_type(rstype))
-        oc = orbit_count_regular(rs)
-        assert oc.count == 2 ** rs.rank
-        assert len(oc.representatives) == oc.count
-        assert oc.representatives[0] == ()
-        assert len({frozenset(r) for r in oc.representatives}) == oc.count
 
 
 # --- admissible primes -------------------------------------------------------

@@ -105,15 +105,6 @@ def test_text_format_shows_corrections():
     assert "note: off by one on record" in text
 
 
-def test_adopt_record_wraps_case_records():
-    raw = {"case": "E6.o7", "claim_id": "E6.o7/bound", "anchor": "t",
-           "statement": "s", "expected": 36, "computed": 36,
-           "status": "pass", "corrections": []}
-    shaped = report.adopt_record("nilorbits", raw)
-    assert shaped["stage"] == "nilorbits"
-    assert list(shaped) == list(report.FIELD_ORDER)
-
-
 def test_status_counts():
     records = [rec(name="a"), rec(name="b"),
                rec(name="c", status="skipped", expected=None, computed=None)]

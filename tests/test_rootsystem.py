@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from heckeverify.rootsystem import (
-    RootSystemError, RootSystemType, StructureConstants, build, degrees_of,
-    parse_type, structure_constants,
+    RootSystemError, RootSystemType, StructureConstants, build, components,
+    degrees_of, parse_type, structure_constants,
 )
 
 ALL_SMALL = ["A1", "A2", "A3", "B2", "B3", "C3", "C4", "D4", "D5", "F4", "G2"]
@@ -25,6 +25,13 @@ def test_parse_and_validate():
         RootSystemType("C", 2)
     with pytest.raises(RootSystemError):
         RootSystemType("D", 3)
+
+
+def test_components_isolated_vertices_and_repeated_edges():
+    edges = [(4, 1), (1, 4), (1, 4), (2, 2), (5, 1), (4, 5)]
+    assert components(6, edges) == [[0], [1, 4, 5], [2], [3]]
+    assert components(3, []) == [[0], [1], [2]]
+    assert components(0, []) == []
 
 
 @pytest.mark.parametrize("t", ALL_TYPES)

@@ -14,7 +14,7 @@ from heckeverify.weyl import WeylBudgetError, valid_orders
 from heckeverify.torus import (
     INFINITE, TorusError, standard_point, mixed_point, center_representatives,
     central_twist, roots_with_exponent, centralizer_roots,
-    centralizer_signature, conjugate_in_G, is_regular,
+    centralizer_signature, conjugate_in_G,
     verify_mixed_nonconjugacy, count_one_dim_characters,
 )
 
@@ -94,7 +94,7 @@ def test_regular_beyond_max_exponent():
         rs = rs_of(name)
         s = standard_point(rs, rs.max_exponent() + 1)
         assert roots_with_exponent(rs, s, 0) == []
-        assert is_regular(rs, s)
+        assert not centralizer_roots(rs, s)
         # at modulus exactly max_exponent+1 the lowest root wraps to
         # exponent 1, so the clean statement needs one more
         s2 = standard_point(rs, rs.max_exponent() + 2)
@@ -285,7 +285,7 @@ def test_mixed_nonconjugacy_all_valid_orders(name):
     for m in sorted(valid_orders(build(rst))) + [INFINITE]:
         rec = verify_mixed_nonconjugacy(rst, m)
         assert rec["status"] == "pass", rec
-        assert rec["non_conjugate"] is True
+        assert rec["computed"]["non_conjugate"] is True
 
 
 def test_mixed_nonconjugacy_orbit_fallback_cases():
@@ -293,15 +293,17 @@ def test_mixed_nonconjugacy_orbit_fallback_cases():
     for name, m in [("C4", 5), ("C5", 7), ("C6", 7), ("C6", 9)]:
         rec = verify_mixed_nonconjugacy(parse_type(name), m)
         assert rec["status"] == "pass"
-        assert rec["criterion"] == "orbit", rec
-        assert rec["standard_signature"] == rec["mixed_signature"]
+        assert rec["computed"]["criterion"] == "orbit", rec
+        rs = rs_of(name)
+        assert centralizer_signature(rs, standard_point(rs, m)) == \
+            centralizer_signature(rs, mixed_point(rs, m))
 
 
 def test_mixed_nonconjugacy_signature_cases():
     for name, m in [("B3", 5), ("F4", 5), ("F4", 11), ("G2", 4), ("G2", 5)]:
         rec = verify_mixed_nonconjugacy(parse_type(name), m)
         assert rec["status"] == "pass"
-        assert rec["criterion"] == "signature", rec
+        assert rec["computed"]["criterion"] == "signature", rec
 
 
 def test_mixed_nonconjugacy_invalid_order_skipped():
@@ -310,12 +312,10 @@ def test_mixed_nonconjugacy_invalid_order_skipped():
 
 
 def test_character_count_goldens():
-    rec = count_one_dim_characters(parse_type("B3"), 7)
-    assert rec["count"] == 4 and rec["center_order"] == 2
-    rec = count_one_dim_characters(parse_type("G2"), 7)
-    assert rec["count"] == 2
-    rec = count_one_dim_characters(parse_type("G2"), 4)
-    assert rec["count"] == 2
+    assert count_one_dim_characters(parse_type("B3"), 7) == 4
+    assert len(center_representatives(rs_of("B3"))) == 2
+    assert count_one_dim_characters(parse_type("G2"), 7) == 2
+    assert count_one_dim_characters(parse_type("G2"), 4) == 2
 
 
 @pytest.mark.parametrize("name", ["B2", "B3", "B4", "B5", "B6",
@@ -324,20 +324,19 @@ def test_character_count_is_twice_center(name):
     rst = parse_type(name)
     rs = build(rst)
     for m in sorted(valid_orders(rs)):
-        rec = count_one_dim_characters(rst, m)
-        assert rec["count"] == 2 * rec["center_order"] == rec["expected"], (name, m)
+        count = count_one_dim_characters(rst, m)
+        assert count == 2 * len(center_representatives(rs)), (name, m)
 
 
 def test_character_count_q_one_model():
     for name in ["A3", "B4", "C5", "D5", "E6", "F4", "G2"]:
         rs = rs_of(name)
-        rec = count_one_dim_characters(parse_type(name), 1)
-        assert rec["count"] == rs.center_order()
+        assert count_one_dim_characters(parse_type(name), 1) == rs.center_order()
 
 
 def test_character_count_refused_at_vanishing_order():
-    rec = count_one_dim_characters(parse_type("B3"), 4)  # 4 divides degree 4
-    assert rec["status"] == "refused"
+    with pytest.raises(TorusError, match="vanishes at order 4"):
+        count_one_dim_characters(parse_type("B3"), 4)  # 4 divides degree 4
 
 
 def test_character_count_simply_laced_rejected():

@@ -1,15 +1,19 @@
 """Sweep configuration and orchestration.
 
-Here we pin the configuration surface (validation, file loading,
-selection) and the determinism of small selected runs, including the
-worked examples: the E8.o16 selection yields exactly its five case
-records, and a prime bound that is too small turns a case into skipped
-records rather than failures.  Full-sweep content is covered unit by
-unit: the plan-coverage tests at the end of this file run whole groups of
-plan units (every `*.regular` unit) through `verify_all`, and a unit that
-raises must still leave the rest of the report.
+Every unit, and every engine that judges a claim, returns records of the
+one report shape (`report.make_record`); the `orbits` and `hecke`
+subcommands print those same records.  Here we pin the configuration
+surface (validation, file loading, selection) and the determinism of
+small selected runs, including the worked examples: the E8.o16 selection
+yields exactly its five case records, and a prime bound that is too small
+turns a case into skipped records rather than failures.  A unit that
+raises, or a report that fails its lint, must still leave every record.
+The plan-coverage tests at the end run every `*.regular` unit through
+`verify_all`, and the slow-marked full run (`pytest -m slow`) runs every
+plan entry once and pins the default report's sha256.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -152,14 +156,31 @@ def test_raising_unit_becomes_one_failed_record(monkeypatch):
 def test_theta_ball_counts_every_failing_pair(monkeypatch):
     monkeypatch.setattr(hecke, "_cleared_theta_product",
                         lambda rs, x, y, zc: None)
-    recs = {r["claim_id"]: r for r in verify.unit_theta_ball("A2", 2)}
+    recs = {r["claim_id"]: r for r in verify.UNITS["theta-ball"]("A2", 2)}
     products = recs["A2.ball/theta-products"]
     assert products["status"] == "fail"
     # every ordered pair of the 25-weight ball fails: 25 * 25 products
-    assert products["computed"] == {"failures": 625}
-    assert len(hecke.verify_bernstein("A2")[0]["detail"]["failing_pairs"]) == 5
+    assert products["computed"]["failures"] == 625
+    assert len(products["computed"]["failing_pairs"]) == 5
     for claim in ("theta-independence", "central-sums"):
         assert recs[f"A2.ball/{claim}"]["computed"] == {"failures": 0}
+
+
+def test_lint_problem_fails_the_run_but_keeps_every_record(monkeypatch):
+    dup = report.make_record("weyl", "A.orders", "valid", "t",
+                             "a second claim under the same id", [], [],
+                             "pass")
+    monkeypatch.setitem(verify.UNITS, "irr-exceptional", lambda: [dup])
+    rep = verify_all(RunConfig(cases=("A.orders", "irr.exceptional")))
+    assert [r["claim_id"] for r in rep.records] == [
+        "A.orders/valid", "A.orders/valid", "report/lint"]
+    lint = rep.records[-1]
+    assert lint["status"] == "fail"
+    assert lint["expected"] == "no problems"
+    assert lint["computed"] == ["duplicate claim_id A.orders/valid"]
+    assert rep.failures == (lint,)
+    assert rep.exit_code == 1
+    assert report.emit(rep.records)
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +194,23 @@ def test_every_regular_unit_passes():
     rep = verify_all(RunConfig(cases=cases))
     assert [r["case"] for r in rep.records] == list(cases)
     assert all(r["status"] == "pass" for r in rep.records), rep.failures
+
+
+def test_plan_uses_every_unit_and_unique_case_ids():
+    plan = verify._plan(RunConfig())
+    assert {unit for _, _, unit, _ in plan} == set(verify.UNITS)
+    case_ids = [case for _, case, _, _ in plan]
+    assert len(case_ids) == len(set(case_ids))
+
+
+FULL_REPORT_SHA256 = \
+    "2c1fdbd8deb22d7e379b31fd2fa3b9beb428b00333266d24d63b925bc36476f1"
+
+
+@pytest.mark.slow
+def test_full_report_is_pinned():
+    rep = verify_all(RunConfig(jobs=2))
+    assert len(rep.records) == 382
+    assert hashlib.sha256(report.emit(rep.records)).hexdigest() == \
+        FULL_REPORT_SHA256
+    assert rep.exit_code == 0
