@@ -11,6 +11,13 @@ v^2 = q, which keeps the half-integer powers of the normalized translation
 elements exact.  Products fold reduced words one generator at a time, from
 whichever side is cheaper; everything stays in the generic Laurent ring and
 numeric specialization is left to callers.
+
+ExtAffine and Laurent are the public values.  Inside a product, elements
+are integer ids interned per root-system type, and the product of an id
+with a generator on either side is kept in an integer table per (type,
+generator, side), so a fold loops over ints and builds an ExtAffine only
+when a table entry is first filled.  Coefficients are packed into one
+integer each for the length of a product.
 """
 
 from __future__ import annotations
@@ -72,6 +79,9 @@ class Laurent:
         return Laurent({e: -k for e, k in self.c.items()})
 
     def __mul__(self, o: "Laurent") -> "Laurent":
+        if len(o.c) == 1:                   # scaling by a monomial
+            (e2, k2), = o.c.items()
+            return Laurent({e1 + e2: k1 * k2 for e1, k1 in self.c.items()})
         out = {}
         for e1, k1 in self.c.items():
             for e2, k2 in o.c.items():
@@ -162,18 +172,9 @@ def ext_translation(rs, x) -> ExtAffine:
     return ExtAffine(WeylElement.identity(rs), tuple(int(a) for a in x))
 
 
-# Weyl elements compare by their images alone, so same-rank elements from
-# different root systems can collide; every cache key carries the type.
-_LENGTH_CACHE: dict = {}
-
-
-def length(elem: ExtAffine) -> int:
+def _length(elem: ExtAffine) -> int:
     """Sum over positive roots of |<x,a^>+1| or |<x,a^>| by the sign of w(a)."""
     rs = elem.w.rs
-    key = (rs.rstype, elem)
-    got = _LENGTH_CACHE.get(key)
-    if got is not None:
-        return got
     cr = _coroot_rows(rs.rstype)
     tot = 0
     for a in rs.positive_roots:
@@ -183,8 +184,95 @@ def length(elem: ExtAffine) -> int:
             tot += abs(pair + 1)
         else:
             tot += abs(pair)
-    _LENGTH_CACHE[key] = tot
     return tot
+
+
+class _Interned:
+    """The extended-affine elements of one type met so far, as integer ids.
+
+    Weyl elements compare by their images alone, so same-rank elements of
+    different root systems can collide; each type has its own table.
+    elems[k] is the element with id k and lengths[k] its length.
+    steps[left][i][k] packs the product with generator r_i on that side as
+    (neighbor id << 1 | length went up); -1 until first asked for."""
+
+    def __init__(self, rstype):
+        self.rstype = rstype
+        self.elems = []
+        self.ids = {}
+        self.lengths = []
+        n1 = rstype.rank + 1
+        self.steps = ([[] for _ in range(n1)], [[] for _ in range(n1)])
+        self.factors = {}
+        self.products = {}
+        self.identity = self.id(ext_identity(build(rstype)))
+
+    def id(self, elem: ExtAffine) -> int:
+        k = self.ids.get(elem)
+        if k is None:
+            k = self.ids[elem] = len(self.elems)
+            self.elems.append(elem)
+            self.lengths.append(_length(elem))
+            for side in self.steps:
+                for table in side:
+                    table.append(-1)
+        return k
+
+    def step(self, k: int, i: int, left: bool) -> int:
+        table = self.steps[left][i]
+        got = table[k]
+        if got < 0:
+            r = affine_generators(self.rstype)[i]
+            e = self.elems[k]
+            nb = self.id(r * e if left else e * r)
+            got = table[k] = nb << 1 | (self.lengths[nb] > self.lengths[k])
+        return got
+
+    def times(self, k: int, m: int) -> int:
+        """The id of elems[k] * elems[m]."""
+        got = self.products.get((k, m))
+        if got is None:
+            got = self.products[(k, m)] = self.id(self.elems[k] * self.elems[m])
+        return got
+
+    def factor(self, k: int):
+        """(omega id, word) with elems[k] = omega * r_{j_1} ... r_{j_m} and
+        the word reduced: peel off the first right descent while the
+        length is positive."""
+        got = self.factors.get(k)
+        if got is None:
+            tail = []
+            e = k
+            while self.lengths[e]:
+                for i in range(self.rstype.rank + 1):
+                    s = self.step(e, i, False)
+                    if not s & 1:
+                        assert self.lengths[s >> 1] == self.lengths[e] - 1
+                        e = s >> 1
+                        tail.append(i)
+                        break
+                else:
+                    raise AssertionError(
+                        "element of positive length with no descent")
+            got = self.factors[k] = (e, tuple(reversed(tail)))
+        return got
+
+
+_INTERNED: dict = {}
+
+
+def _interned(rstype) -> _Interned:
+    got = _INTERNED.get(rstype)
+    if got is None:
+        got = _INTERNED[rstype] = _Interned(rstype)
+    return got
+
+
+def length(elem: ExtAffine) -> int:
+    """Sum over positive roots of |<x,a^>+1| or |<x,a^>| by the sign of w(a);
+    computed once per element."""
+    g = _interned(elem.w.rs.rstype)
+    return g.lengths[g.id(elem)]
 
 
 def is_dominant(rs, x) -> bool:
@@ -255,27 +343,9 @@ def omega_group(rstype):
 
 def _factor(elem: ExtAffine):
     """elem = omega * r_{j_1} ... r_{j_m} with the word reduced."""
-    return _factor_for(elem.w.rs.rstype, elem)
-
-
-@lru_cache(maxsize=1 << 18)
-def _factor_for(rstype, elem: ExtAffine):
-    gens = affine_generators(rstype)
-    tail = []
-    e = elem
-    le = length(e)
-    while le:
-        for i in range(len(gens)):
-            er = e * gens[i]
-            ler = length(er)
-            if ler < le:
-                assert ler == le - 1
-                e, le = er, ler
-                tail.append(i)
-                break
-        else:
-            raise AssertionError("element of positive length with no descent")
-    return e, tuple(reversed(tail))
+    g = _interned(elem.w.rs.rstype)
+    om, word = g.factor(g.id(elem))
+    return g.elems[om], word
 
 
 def tau_rotation(rstype):
@@ -355,37 +425,61 @@ class HeckeElement:
         return f"HeckeElement({len(self.terms)} terms)"
 
 
-# one-generator moves recur across every fold, so they are memoized as
-# (neighbor, length went up) pairs
-_STEP_CACHE: dict = {}
+# Inside a product, coefficients are packed into one Python integer each
+# (Kronecker substitution): sum_e c_e v^e is stored as sum_e c_e 2^(bits*(e-lo))
+# with signed digits.  Every operation a fold needs is then one integer
+# operation: adding, multiplying by q = v^2 (a shift by 2*bits), and the
+# product of two coefficients.  Packing is a ring map, so it is exact; it
+# can be read back while every true coefficient stays below 2^(bits-1) in
+# absolute value, which _digits guarantees from a bound on the sum of
+# absolute values (a fold at most triples it).
 
 
-def _step(rs, e, i, left):
-    key = (rs.rstype, e, i, left)
-    got = _STEP_CACHE.get(key)
-    if got is None:
-        r = affine_generators(rs.rstype)[i]
-        er = (r * e) if left else (e * r)
-        got = (er, length(er) > length(e))
-        _STEP_CACHE[key] = got
-    return got
+def _l1(c: Laurent) -> int:
+    return sum(map(abs, c.c.values()))
 
 
-def _fold_gen(rs, terms, i, left=False):
-    """terms * T_{r_i} (or the mirror product) by the quadratic relation."""
+def _digits(bound: int) -> int:
+    """Digit width for coefficients of absolute value at most bound."""
+    return bound.bit_length() + 1
+
+
+def _pack(c: Laurent, lo: int, bits: int) -> int:
+    return sum(k << (bits * (e - lo)) for e, k in c.c.items())
+
+
+def _unpack(x: int, lo: int, bits: int) -> Laurent:
     out = {}
+    half, full = 1 << (bits - 1), 1 << bits
+    e = lo
+    while x:
+        d = x & (full - 1)
+        if d >= half:
+            d -= full
+        if d:
+            out[e] = d
+        x = (x - d) >> bits
+        e += 1
+    return Laurent(out)
+
+
+def _fold_gen(g: _Interned, terms, i, left, shift):
+    """terms * T_{r_i} (or the mirror product) by the quadratic relation,
+    over element ids and packed coefficients; shift is 2*bits."""
+    table = g.steps[left][i]
+    out = {}
+    get = out.get
     for e, c in terms.items():
-        er, up = _step(rs, e, i, left)
-        if up:
-            got = out.get(er)
-            out[er] = c if got is None else got + c
+        s = table[e]
+        if s < 0:
+            s = g.step(e, i, left)
+        er = s >> 1
+        if s & 1:
+            out[er] = get(er, 0) + c
         else:
-            got = out.get(e)
-            add = c.shift(2) - c          # times q - 1
-            out[e] = add if got is None else got + add
-            got = out.get(er)
-            add = c.shift(2)              # times q
-            out[er] = add if got is None else got + add
+            cq = c << shift               # times q
+            out[e] = get(e, 0) + cq - c   # times q - 1
+            out[er] = get(er, 0) + cq
     return out
 
 
@@ -395,53 +489,59 @@ def hecke_mul(a: HeckeElement, b: HeckeElement,
     if a.rs is not b.rs:
         raise HeckeError("factors live over different root systems")
     rs = a.rs
-    cost_a = sum(length(e) for e in a.terms)
-    cost_b = sum(length(e) for e in b.terms)
+    g = _interned(rs.rstype)
+    ta = [(g.id(e), c) for e, c in a.terms.items()]
+    tb = [(g.id(e), c) for e, c in b.terms.items()]
+    right = sum(g.lengths[k] for k, _ in tb) <= sum(g.lengths[k] for k, _ in ta)
+    # fold each seed's reduced word into the other factor
+    seeds, rest = (tb, ta) if right else (ta, tb)
+    words = [(g.factor(k), c) for k, c in seeds]
+    lo_seed = min((min(c.c) for _, c in seeds), default=0)
+    lo_rest = min((min(c.c) for _, c in rest), default=0)
+    rest_l1 = sum(_l1(c) for _, c in rest)
+    bits = _digits(sum(_l1(c) * 3 ** len(w) for (_, w), c in words) * rest_l1)
+    shift = 2 * bits
+    rest = [(k, _pack(c, lo_rest, bits)) for k, c in rest]
     out: dict = {}
-    if cost_b <= cost_a:
-        for eb, cb in b.terms.items():
-            om, word = _factor(eb)
-            part = {e * om: c * cb for e, c in a.terms.items()}
+    for (om, word), cs in words:
+        cs = _pack(cs, lo_seed, bits)
+        if right:
+            part = {g.times(k, om): c * cs for k, c in rest}
             for j in word:
-                part = _fold_gen(rs, part, j)
-            for e, c in part.items():
-                got = out.get(e)
-                out[e] = c if got is None else got + c
-            if len(out) > term_budget:
-                raise HeckeError(
-                    f"product support exceeded the {term_budget}-term budget")
-    else:
-        for ea, ca in a.terms.items():
-            om, word = _factor(ea)
-            part = {e: c * ca for e, c in b.terms.items()}
+                part = _fold_gen(g, part, j, False, shift)
+        else:
+            part = {k: c * cs for k, c in rest}
             for j in reversed(word):
-                part = _fold_gen(rs, part, j, left=True)
-            part = {om * e: c for e, c in part.items()}
-            for e, c in part.items():
-                got = out.get(e)
-                out[e] = c if got is None else got + c
-            if len(out) > term_budget:
-                raise HeckeError(
-                    f"product support exceeded the {term_budget}-term budget")
-    return HeckeElement(rs, out)
+                part = _fold_gen(g, part, j, True, shift)
+            part = {g.times(om, k): c for k, c in part.items()}
+        for e, c in part.items():
+            out[e] = out.get(e, 0) + c
+        if len(out) > term_budget:
+            raise HeckeError(
+                f"product support exceeded the {term_budget}-term budget")
+    lo = lo_seed + lo_rest
+    return HeckeElement(rs, {g.elems[e]: _unpack(c, lo, bits)
+                             for e, c in out.items() if c})
 
 
 @lru_cache(maxsize=4096)
 def _basis_inverse(rstype, elem: ExtAffine) -> HeckeElement:
-    """T_elem^{-1}, from T_r^{-1} = q^{-1} T_r + (q^{-1} - 1)."""
-    rs = build(rstype)
-    om, word = _factor(elem)
-    h = HeckeElement.unit(rs)
+    """T_elem^{-1}, from T_r^{-1} = q^{-1} (T_r + 1 - q): the word's factors
+    are folded with nonnegative exponents and q^{-m} is applied at the end."""
+    g = _interned(rstype)
+    om, word = g.factor(g.id(elem))
+    bits = _digits(3 ** len(word))
+    shift = 2 * bits
+    h = {g.identity: 1}
     for j in reversed(word):
-        folded = _fold_gen(rs, h.terms, j)
-        part = {e: c.shift(-2) for e, c in folded.items()}
-        for e, c in h.terms.items():
-            add = c.shift(-2) - c
-            got = part.get(e)
-            part[e] = add if got is None else got + add
-        h = HeckeElement(rs, part)
-    inv = om.inverse()
-    return HeckeElement(rs, {e * inv: c for e, c in h.terms.items()})
+        folded = _fold_gen(g, h, j, False, shift)
+        for e, c in h.items():
+            folded[e] = folded.get(e, 0) + c - (c << shift)
+        h = folded
+    inv = g.id(g.elems[om].inverse())
+    return HeckeElement(build(rstype), {
+        g.elems[g.times(e, inv)]: _unpack(c, -2 * len(word), bits)
+        for e, c in h.items() if c})
 
 
 def basis_inverse(rs, elem: ExtAffine) -> HeckeElement:

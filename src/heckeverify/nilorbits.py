@@ -27,6 +27,17 @@ class NilOrbitError(ValueError):
     pass
 
 
+class ComponentMismatch(NilOrbitError):
+    """The computed decomposition disagrees with a detailed table's
+    modules.  verify_case reports it as a failed decomposition claim;
+    expected and computed are the sorted support sizes of both sides."""
+
+    def __init__(self, message, expected, computed):
+        super().__init__(message)
+        self.expected = expected
+        self.computed = computed
+
+
 DEFAULT_DIM_CAP = 12
 DEFAULT_STATE_BUDGET = 300_000
 
@@ -496,9 +507,11 @@ def named_components(table, parts):
         else:
             missing.append(name)
     if missing or by_support:
-        raise NilOrbitError(
+        raise ComponentMismatch(
             f"component mismatch for {table.case_id}: unmatched modules "
-            f"{missing}, unmatched components {sorted(by_support)}")
+            f"{missing}, unmatched components {sorted(by_support)}",
+            sorted(len(table.module_support(n)) for n in table.modules),
+            sorted(len(sub.support) for sub in parts))
     return out
 
 
@@ -583,14 +596,13 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
     """The five ordered report records for one (type, order) case:
     generator list, exponent-one root list, decomposition, per-group orbit
     counts, final bound.  Documented table corrections ride along in the
-    record they annotate."""
+    record they annotate.  Components that do not match a detailed table
+    give one failed decomposition record instead."""
     rs = build(parse_type(str(rstype)))
     # an order the eigenspace analysis refuses is named the way build_nqs
     # names it, ahead of case_bound's plain valid-order refusal
     _refuse_point(rs, standard_point(rs, order))
-    bound = case_bound(rstype, order, primes=primes, cap=cap,
-                       state_budget=state_budget)
-    nm, table = bound.module, bound.table
+    table = cases.case_table(rs.rstype, order)
     case = table.case_id if table else f"{rs.rstype}.o{order}"
     notes = _corrections_by_record(case, table)
 
@@ -598,6 +610,17 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         return report.make_record(
             "nilorbits", case, name, f"case table {case}: {anchor}",
             statement, expected, computed, status, notes[name])
+
+    try:
+        bound = case_bound(rstype, order, primes=primes, cap=cap,
+                           state_budget=state_budget)
+    except ComponentMismatch as e:
+        # the orbit counts are named by the recorded modules, so nothing
+        # past the decomposition can be checked
+        return [record("decomposition", "submodule supports",
+                       f"bracket-graph components match the recorded "
+                       f"submodules; {e}", e.expected, e.computed, "fail")]
+    nm = bound.module
 
     records = []
     detailed = table is not None and table.detailed

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "RootSystemError",
     "RootSystemType",
@@ -31,6 +33,7 @@ __all__ = [
     "StructureConstants",
     "parse_type",
     "build",
+    "component_labels",
     "components",
     "degrees_of",
     "structure_constants",
@@ -211,23 +214,50 @@ def _det_int(mat):
     return int(det)
 
 
+_EDGE_CHUNK = 1 << 20
+
+
+def component_labels(n, src, dst):
+    """Connected components of the graph on vertices 0..n-1 with edges
+    src[k]--dst[k]: an int array giving each vertex its component's least
+    vertex.
+
+    Min-label hooking plus pointer jumping.  Each round first jumps every
+    pointer to its tree's root, drops edges whose ends already share a
+    root, then hooks the larger label of each remaining edge under the
+    smaller one, a chunk of edges at a time.  Pointers only ever decrease
+    and stay inside their component, so the rounds end, and a component's
+    least vertex ends up as its one root."""
+    label = np.arange(n, dtype=np.int64 if n > 2 ** 31 - 1 else np.int32)
+    src = np.asarray(src, dtype=label.dtype).ravel()
+    dst = np.asarray(dst, dtype=label.dtype).ravel()
+    while True:
+        while True:
+            hop = label[label]
+            if np.array_equal(hop, label):
+                break
+            label = hop
+        lu, lv = label[src], label[dst]
+        keep = lu != lv
+        if not keep.any():
+            return label
+        src, dst = src[keep], dst[keep]
+        for lo in range(0, src.size, _EDGE_CHUNK):
+            a = label[src[lo:lo + _EDGE_CHUNK]]
+            b = label[dst[lo:lo + _EDGE_CHUNK]]
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+
+
 def components(n, edges):
     """Connected components of the graph on vertices 0..n-1, each an
     ascending list, ordered by their least vertex."""
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    if n == 0:
+        return []
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    label = component_labels(n, pairs[:, 0], pairs[:, 1])
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts)]
 
 
 class RootSystem:

@@ -1,11 +1,14 @@
 """Weyl groups: enumeration, Poincare polynomials, character counts.
 
-Elements are represented two ways.  The numpy engine encodes each group
-element by the tuple of root indices (w(alpha_1), ..., w(alpha_n)) and
-enumerates the whole group breadth-first by left multiplication with the
-simple reflections; this scales to a few million elements.  WeylElement is
-a slower exact object for small-rank work where individual elements are
-composed, inverted, and turned into reduced words.
+The whole group is enumerated as integer arrays: row i holds the root
+indices (w(alpha_1), ..., w(alpha_n)) of element i, found breadth-first by
+left multiplication with the simple reflections; this scales to a few
+million elements.  Sweeps over the group work on row indices alone:
+conjugation by a simple reflection is one table of rows built by integer
+gathers, and the conjugacy classes are the connected components of those
+tables.  WeylElement is the exact object behind one row, for code that
+composes, inverts and factors single elements (the extended affine group
+in hecke).
 
 Lengths come for free from the BFS: left multiplication by a simple
 reflection changes the length by exactly one, so BFS depth equals Coxeter
@@ -21,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .partitions import p, ordered_pairs, typeD_count
-from .rootsystem import RootSystem, _invert_fraction_matrix
+from .rootsystem import (
+    RootSystem, _invert_fraction_matrix, build, component_labels)
 
 __all__ = [
     "WeylBudgetError", "WeylElement", "GroupEnumeration", "enumerate_group",
@@ -37,7 +41,7 @@ class WeylBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# exact elements for small-rank work
+# exact single elements
 
 
 class WeylElement:
@@ -47,12 +51,13 @@ class WeylElement:
     first": (u * v)(x) = u(v(x)).
     """
 
-    __slots__ = ("rs", "images", "_inv_images")
+    __slots__ = ("rs", "images", "_inv_images", "_hash")
 
     def __init__(self, rs: RootSystem, images):
         self.rs = rs
         self.images = tuple(tuple(r) for r in images)
         self._inv_images = None
+        self._hash = None
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
@@ -159,7 +164,9 @@ class WeylElement:
         return isinstance(other, WeylElement) and self.images == other.images
 
     def __hash__(self):
-        return hash(self.images)
+        if self._hash is None:
+            self._hash = hash(self.images)
+        return self._hash
 
     def __repr__(self):
         return f"WeylElement({self.rs.rstype}, word={self.word()})"
@@ -188,6 +195,15 @@ def _key_powers(rs: RootSystem):
     return np.array([base ** i for i in range(rs.rank)], dtype=np.uint64)
 
 
+def _keys(perms, powers):
+    """One uint64 key per image tuple, summed column by column so the
+    temporaries stay one column wide."""
+    keys = np.zeros(perms.shape[0], dtype=np.uint64)
+    for i, pw in enumerate(powers):
+        keys += perms[:, i].astype(np.uint64) * pw
+    return keys
+
+
 class GroupEnumeration:
     """The full Weyl group as parallel numpy arrays.
 
@@ -201,7 +217,7 @@ class GroupEnumeration:
         self.perms = perms
         self.lengths = lengths
         self._powers = powers
-        keys = (perms.astype(np.uint64) * powers).sum(axis=1)
+        keys = _keys(perms, powers)
         self._sorted_keys = np.sort(keys)
         self._sorted_to_row = np.argsort(keys, kind="stable")
 
@@ -214,7 +230,7 @@ class GroupEnumeration:
 
     def lookup(self, perm_batch):
         """Row indices of a (B, rank) batch of image tuples."""
-        keys = (perm_batch.astype(np.uint64) * self._powers).sum(axis=1)
+        keys = _keys(perm_batch, self._powers)
         pos = np.searchsorted(self._sorted_keys, keys)
         assert np.array_equal(self._sorted_keys[pos], keys)
         return self._sorted_to_row[pos]
@@ -252,7 +268,7 @@ def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumer
 
     ident = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
     layers = [ident]
-    layer_keys = [np.sort((ident.astype(np.uint64) * powers).sum(axis=1))]
+    layer_keys = [_keys(ident, powers)]
     lengths = [np.zeros(1, dtype=np.int16)]
 
     depth = 0
@@ -261,7 +277,7 @@ def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumer
     prev_keys = np.array([], dtype=np.uint64)
     while frontier.shape[0]:
         cand = np.concatenate([refl[j][frontier] for j in range(n)])
-        keys = (cand.astype(np.uint64) * powers).sum(axis=1)
+        keys = _keys(cand, powers)
         uniq_keys, first = np.unique(keys, return_index=True)
         cand = cand[first]
         # candidates either fall back into layer depth-1 or are new
@@ -413,62 +429,72 @@ def irr_count(rs: RootSystem) -> int:
 # conjugacy classes
 
 
-def _coord_codec(rs: RootSystem):
-    """Encode root coordinate vectors as int64 for table lookup."""
-    offset = max(abs(c) for r in rs.all_roots for c in r) + 1
-    base = 2 * offset
-    assert base ** rs.rank < 2 ** 62
-    pows = np.array([base ** i for i in range(rs.rank)], dtype=np.int64)
-    coords = np.array(rs.all_roots, dtype=np.int16)
-    codes = ((coords.astype(np.int64) + offset) * pows).sum(axis=1)
-    order = np.argsort(codes)
-    return coords, codes[order], order.astype(np.int32), pows, offset
+@lru_cache(maxsize=None)
+def _gather_tables(rstype):
+    """Root-index tables for the conjugation gathers.
+
+    comb[k][r, s] is the index of root r + k*s, or -1 when that is not a
+    root, for each k = -C_ij over the nonzero off-diagonal Cartan entries;
+    neg[r] is the index of -r; refl as in _reflection_tables."""
+    rs = build(rstype)
+    nroots = len(rs.all_roots)
+    ks = {-c for i, row in enumerate(rs.cartan) for j, c in enumerate(row)
+          if i != j and c}
+    comb = {}
+    for k in sorted(ks):
+        table = np.full((nroots, nroots), -1, dtype=np.int16)
+        for r, a in enumerate(rs.all_roots):
+            for s, b in enumerate(rs.all_roots):
+                got = rs.index.get(tuple(x + k * y for x, y in zip(a, b)))
+                if got is not None:
+                    table[r, s] = got
+        comb[k] = table
+    neg = np.array([rs.index[tuple(-x for x in a)] for a in rs.all_roots],
+                   dtype=np.int16)
+    return comb, neg, _reflection_tables(rs)
+
+
+_ROW_CHUNK = 1 << 18
+
+
+def conjugation_table(group: GroupEnumeration, j: int):
+    """conj[i] = row of s_j * x_i * s_j, for every element x_i at once.
+
+    x s_j sends a_i to x(a_i) - C_ij x(a_j): one gather in a root
+    combination table per Cartan entry (the negation table for i = j).
+    Applying s_j on the left is one gather in the reflection table, and
+    the resulting image tuples are looked up as group rows."""
+    rs = group.rs
+    comb, neg, refl = _gather_tables(rs.rstype)
+    out = np.empty(len(group), dtype=np.int32)
+    for lo in range(0, len(group), _ROW_CHUNK):
+        x = group.perms[lo:lo + _ROW_CHUNK]
+        z = x.copy()
+        for i in range(rs.rank):
+            c = rs.cartan[i][j]
+            if i == j:
+                z[:, i] = neg[x[:, j]]
+            elif c:
+                z[:, i] = comb[-c][x[:, i], x[:, j]]
+        if (z < 0).any():
+            raise AssertionError(f"x s_{j} left the roots of {rs.rstype}")
+        out[lo:lo + _ROW_CHUNK] = group.lookup(refl[j][z])
+    return out
 
 
 def conjugacy_class_count(rs: RootSystem, budget: int = DEFAULT_BUDGET):
-    """Number and sizes of conjugacy classes, by orbit sweep under
-    generator conjugation.  Returns (count, sorted sizes)."""
+    """Number and sizes of conjugacy classes: the connected components of
+    the graph joining x to s_j x s_j for every simple reflection s_j.
+    Returns (count, sorted sizes)."""
     group = enumerate_group(rs, budget)
-    perms = group.perms
-    M = perms.shape[0]
-    n = rs.rank
-    refl = _reflection_tables(rs)
-    coords, sorted_codes, code_order, pows, offset = _coord_codec(rs)
-    cartan = np.array(rs.cartan, dtype=np.int16)
-
-    def conj_all(batch):
-        """s_j x s_j for each j; returns list of row-index arrays."""
-        out = []
-        XC = coords[batch]  # (B, n, rank) images of simples as coords
-        for j in range(n):
-            # z = x s_j: z(a_i) = x(a_i) - C[i][j] x(a_j)
-            ZC = XC - cartan[:, j].reshape(1, n, 1) * XC[:, j:j + 1, :]
-            codes = ((ZC.astype(np.int64) + offset) *
-                     pows.reshape(1, 1, -1)).sum(axis=2)
-            pos = np.searchsorted(sorted_codes, codes)
-            Z = code_order[pos]
-            Y = refl[j][Z]
-            out.append(group.lookup(Y))
-        return out
-
-    visited = np.zeros(M, dtype=bool)
-    sizes = []
-    chunk = 200_000
-    for start in range(M):
-        if visited[start]:
-            continue
-        visited[start] = True
-        frontier = np.array([start], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            pieces = []
-            for lo in range(0, frontier.size, chunk):
-                pieces.extend(conj_all(perms[frontier[lo:lo + chunk]]))
-            nxt = np.unique(np.concatenate(pieces))
-            nxt = nxt[~visited[nxt]]
-            visited[nxt] = True
-            size += nxt.size
-            frontier = nxt
-        sizes.append(size)
-    assert sum(sizes) == M
-    return len(sizes), sorted(sizes)
+    rows = np.arange(len(group), dtype=np.int32)
+    src, dst = [], []
+    for j in range(rs.rank):
+        conj = conjugation_table(group, j)
+        keep = rows < conj          # an involution: each edge once
+        src.append(rows[keep])
+        dst.append(conj[keep])
+    label = component_labels(len(group), np.concatenate(src),
+                             np.concatenate(dst))
+    sizes = np.unique(label, return_counts=True)[1]
+    return len(sizes), sorted(int(k) for k in sizes)

@@ -7,7 +7,11 @@ group for the dominance criterion.  Everything else is pinned to small
 hand-checkable values.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -310,6 +314,38 @@ def test_specialization_at_q1_is_the_group_algebra():
             b = random_element(rs, gens, rng)
             assert hecke_mul(a, b).at_q1() == \
                 group_algebra_mul(a.at_q1(), b.at_q1())
+
+
+def sampled_products(names, rounds=12):
+    """Products of seeded random elements, taken round-robin over the
+    types; each type draws from its own generator, so what it computes
+    does not depend on which other types run alongside."""
+    rngs = {name: random.Random(name) for name in names}
+    out = {name: [] for name in names}
+    for _ in range(rounds):
+        for name in names:
+            rs = rs_of(name)
+            gens = affine_generators(rs.rstype)
+            a, b = (random_element(rs, gens, rngs[name]) for _ in range(2))
+            out[name].append(sorted(
+                [[list(e.x), [list(r) for r in e.w.images], sorted(c.c.items())]
+                 for e, c in hecke_mul(a, b).terms.items()]))
+    return json.loads(json.dumps(out))
+
+
+def test_products_do_not_leak_between_types_of_equal_rank():
+    # A2 and G2 Weyl elements have images of the same shape; interleaved
+    # products in this process must match each type computed alone in a
+    # fresh one
+    here = sampled_products(["A2", "G2"])
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    for name in ("G2", "A2"):
+        code = (f"import sys, json; sys.path[:0] = {[tests_dir]!r}; "
+                f"import conftest; from test_hecke import sampled_products; "
+                f"print(json.dumps(sampled_products([{name!r}])))")
+        fresh = subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True)
+        assert json.loads(fresh.stdout) == {name: here[name]}
 
 
 def test_term_budget_refusal():

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from heckeverify import rootsystem
 from heckeverify.rootsystem import (
-    RootSystemError, RootSystemType, StructureConstants, build, components,
-    degrees_of, parse_type, structure_constants,
+    RootSystemError, RootSystemType, StructureConstants, build,
+    component_labels, components, degrees_of, parse_type,
+    structure_constants,
 )
 
 ALL_SMALL = ["A1", "A2", "A3", "B2", "B3", "C3", "C4", "D4", "D5", "F4", "G2"]
@@ -32,6 +34,43 @@ def test_components_isolated_vertices_and_repeated_edges():
     assert components(6, edges) == [[0], [1, 4, 5], [2], [3]]
     assert components(3, []) == [[0], [1], [2]]
     assert components(0, []) == []
+
+
+def union_find_components(n, edges):
+    """The hand-written union-find that components() replaced."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("chunk", [3, rootsystem._EDGE_CHUNK])
+def test_labeller_matches_union_find_on_random_graphs(monkeypatch, chunk):
+    # a small edge chunk makes later chunks hook vertices that an earlier
+    # chunk of the same round already hooked
+    monkeypatch.setattr(rootsystem, "_EDGE_CHUNK", chunk)
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randrange(1, 60)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randrange(2 * n))]
+        edges += rng.sample(edges, len(edges) // 3)     # repeated edges
+        want = union_find_components(n, edges)
+        assert components(n, edges) == want
+        label = component_labels(n, [a for a, _ in edges],
+                                 [b for _, b in edges])
+        assert label.tolist() == [min(next(c for c in want if v in c))
+                                  for v in range(n)]
 
 
 @pytest.mark.parametrize("t", ALL_TYPES)

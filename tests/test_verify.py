@@ -13,12 +13,13 @@ The plan-coverage tests at the end run every `*.regular` unit through
 plan entry once and pins the default report's sha256.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from heckeverify import hecke, report, verify
+from heckeverify import cases, hecke, report, verify
 from heckeverify.verify import (
     ConfigError, RunConfig, config_from_dict, config_from_file, verify_all,
 )
@@ -181,6 +182,30 @@ def test_lint_problem_fails_the_run_but_keeps_every_record(monkeypatch):
     assert rep.failures == (lint,)
     assert rep.exit_code == 1
     assert report.emit(rep.records)
+
+
+def test_decomposition_mismatch_is_one_failed_record(monkeypatch):
+    real = cases.case_table
+
+    def moved_label(rstype, order):
+        table = real(rstype, order)
+        if table is None or table.case_id != "E6.o7":
+            return table
+        # move one root from the first recorded module to the second
+        (m1, first), (m2, second) = list(table.modules.items())[:2]
+        modules = dict(table.modules, **{m1: first[1:],
+                                         m2: second + first[:1]})
+        return dataclasses.replace(table, modules=modules)
+
+    monkeypatch.setattr(cases, "case_table", moved_label)
+    rep = verify_all(RunConfig(cases=("E6.o7",)))
+    assert [r["claim_id"] for r in rep.records] == ["E6.o7/decomposition"]
+    rec = rep.records[0]
+    assert rec["status"] == "fail"
+    assert "component mismatch for E6.o7" in rec["statement"]
+    assert rec["expected"] != rec["computed"]
+    assert sum(rec["expected"]) == sum(rec["computed"])
+    assert rep.exit_code == 1
 
 
 # ---------------------------------------------------------------------------

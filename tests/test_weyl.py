@@ -9,13 +9,14 @@ formulas against vectorized conjugacy-class sweeps.
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from heckeverify.rootsystem import parse_type, build
 from heckeverify.weyl import (
     WeylBudgetError, WeylElement, enumerate_group, poincare,
     poincare_vanishes, vanishes_by_degrees, valid_orders, irr_count,
-    conjugacy_class_count, cyclotomic, INFINITE_ORDER,
+    conjugacy_class_count, conjugation_table, cyclotomic, INFINITE_ORDER,
 )
 from heckeverify.partitions import p, ordered_pairs, typeD_count
 
@@ -220,13 +221,32 @@ def test_irr_formulas():
 
 @pytest.mark.parametrize("name", [
     "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
-    "C3", "C4", "C5", "D4", "D5", "D6", "F4", "G2", "E6",
+    "C3", "C4", "C5", "D4", "D5", "D6", "F4", "G2", "E6", "A7", "B6",
 ])
 def test_irr_equals_conjugacy_class_count(name):
     rs = rs_of(name)
     count, sizes = conjugacy_class_count(rs)
     assert count == irr_count(rs), name
     assert sum(sizes) == rs.weyl_order()
+
+
+def test_a4_class_sizes():
+    # the cycle types of S5
+    assert conjugacy_class_count(rs_of("A4")) == \
+        (7, [1, 10, 15, 20, 20, 24, 30])
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_conjugation_tables_match_exact_conjugation(name):
+    rs = rs_of(name)
+    g = enumerate_group(rs)
+    rows = np.arange(len(g))
+    for j in range(rs.rank):
+        conj = conjugation_table(g, j)
+        assert np.array_equal(conj[conj], rows)        # an involution
+        s = WeylElement.simple(rs, j)
+        images = [[rs.index[r] for r in (s * w * s).images] for w in g]
+        assert np.array_equal(conj, g.lookup(np.array(images)))
 
 
 # ---------------------------------------------------------------------------
