@@ -223,29 +223,33 @@ def component_labels(n, src, dst):
     vertex.
 
     Min-label hooking plus pointer jumping.  Each round first jumps every
-    pointer to its tree's root, drops edges whose ends already share a
-    root, then hooks the larger label of each remaining edge under the
-    smaller one, a chunk of edges at a time.  Pointers only ever decrease
-    and stay inside their component, so the rounds end, and a component's
-    least vertex ends up as its one root."""
+    pointer to its tree's root, then walks the edges a chunk at a time:
+    an edge whose ends already share a pointer is dropped for good, and
+    every other edge hooks the larger pointer under the smaller one.
+    Pointers only ever decrease and stay inside their component, so the
+    rounds end, and a component's least vertex ends up as its one root."""
     label = np.arange(n, dtype=np.int64 if n > 2 ** 31 - 1 else np.int32)
     src = np.asarray(src, dtype=label.dtype).ravel()
     dst = np.asarray(dst, dtype=label.dtype).ravel()
+    chunks = [(src[lo:lo + _EDGE_CHUNK], dst[lo:lo + _EDGE_CHUNK])
+              for lo in range(0, src.size, _EDGE_CHUNK)]
     while True:
         while True:
             hop = label[label]
             if np.array_equal(hop, label):
                 break
             label = hop
-        lu, lv = label[src], label[dst]
-        keep = lu != lv
-        if not keep.any():
+        if not chunks:
             return label
-        src, dst = src[keep], dst[keep]
-        for lo in range(0, src.size, _EDGE_CHUNK):
-            a = label[src[lo:lo + _EDGE_CHUNK]]
-            b = label[dst[lo:lo + _EDGE_CHUNK]]
-            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        kept = []
+        for s, d in chunks:
+            a, b = label[s], label[d]
+            cross = a != b
+            if cross.any():
+                a, b = a[cross], b[cross]
+                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+                kept.append((s[cross], d[cross]))
+        chunks = kept
 
 
 def components(n, edges):

@@ -482,19 +482,25 @@ def conjugation_table(group: GroupEnumeration, j: int):
     return out
 
 
+def _conjugation_edges(group: GroupEnumeration):
+    """(src, dst) with one edge x -- s_j x s_j per simple reflection and
+    unordered pair, since each table is an involution.  A function of its
+    own so the per-table pieces are freed before the labelling starts."""
+    rows = np.arange(len(group), dtype=np.int32)
+    src, dst = [], []
+    for j in range(group.rs.rank):
+        conj = conjugation_table(group, j)
+        keep = rows < conj
+        src.append(rows[keep])
+        dst.append(conj[keep])
+    return np.concatenate(src), np.concatenate(dst)
+
+
 def conjugacy_class_count(rs: RootSystem, budget: int = DEFAULT_BUDGET):
     """Number and sizes of conjugacy classes: the connected components of
     the graph joining x to s_j x s_j for every simple reflection s_j.
     Returns (count, sorted sizes)."""
     group = enumerate_group(rs, budget)
-    rows = np.arange(len(group), dtype=np.int32)
-    src, dst = [], []
-    for j in range(rs.rank):
-        conj = conjugation_table(group, j)
-        keep = rows < conj          # an involution: each edge once
-        src.append(rows[keep])
-        dst.append(conj[keep])
-    label = component_labels(len(group), np.concatenate(src),
-                             np.concatenate(dst))
+    label = component_labels(len(group), *_conjugation_edges(group))
     sizes = np.unique(label, return_counts=True)[1]
     return len(sizes), sorted(int(k) for k in sizes)
