@@ -5,9 +5,10 @@ Orbits are counted over small prime fields with p = 1 mod the order, so
 that the field contains an element of that multiplicative order.  Every
 vector is first canonicalized to a torus-orbit label (support pattern
 plus a discrete class computed by integer lattice reduction of the
-restricted weight matrix); the unipotent one-parameter moves are then
-closed over every field scalar with a union-find.  Counting the same
-case over two primes and both sign conventions guards the arithmetic.
+restricted weight matrix); the orbits are then the components of these
+states under the unipotent one-parameter moves over every field scalar,
+labelled by rootsystem.component_labels.  Counting the same case over two
+primes and both sign conventions guards the arithmetic.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +18,9 @@ from math import gcd, prod
 import numpy as np
 
 from . import cases, report
-from .rootsystem import (RootSystem, build, components, parse_type,
-                         structure_constants, _invert_fraction_matrix)
+from .rootsystem import (RootSystem, build, component_labels, components,
+                         parse_type, structure_constants,
+                         _invert_fraction_matrix)
 from .torus import TorusPoint, standard_point, roots_with_exponent
 from .weyl import poincare_vanishes, valid_orders
 
@@ -67,8 +69,6 @@ class Submodule:
 @dataclass(frozen=True)
 class OrbitCount:
     count: int
-    primes_used: tuple = ()
-    stable: bool = True
 
 
 def _refuse_point(rs: RootSystem, s: TorusPoint):
@@ -258,12 +258,13 @@ class _SupportClasses:
 
 
 class _Closure:
-    """Union-find closure of the torus-canonical states under every
-    unipotent move u_gamma(c), c over the whole field.
+    """Orbits of the torus-canonical states under every unipotent move
+    u_gamma(c), c over the whole field.
 
     States are indexed densely: support pattern bitmask, then the
     mixed-radix class label within the pattern.  All image computation and
-    canonicalization is vectorized across states and scalars."""
+    canonicalization is vectorized across states and scalars.  Each
+    state's label is the least state of its orbit so far."""
 
     def __init__(self, nm: NilModule, roots, p, sc, state_budget):
         self.p = p
@@ -343,7 +344,8 @@ class _Closure:
         check = self._canonical_batch(vectors)
         assert np.array_equal(check, np.arange(total)), \
             "state enumeration does not round-trip through canonicalization"
-        self.parent = list(range(total))
+        # component_labels' own dtype; the edge lists are built in it
+        self.label = np.arange(total, dtype=np.int32)
 
     def _canonical_batch(self, block):
         """Dense state index of each row of a block of vectors."""
@@ -361,13 +363,6 @@ class _Closure:
             out[rows] = self.offsets[int(bits)] + lab.dot(data.strides)
         return out
 
-    def _find(self, i):
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     def run(self):
         scalars = np.arange(1, self.p, dtype=np.int64)
         sq = scalars * scalars % self.p
@@ -375,7 +370,9 @@ class _Closure:
         powers = (scalars, sq, cube)
         n = self.n_states
         chunk = max(1, min(n, 1 << 22 >> max(1, self.pm1 * self.d).bit_length()))
+        label = self.label
         for mats in self.moves:
+            srcs, dsts = [], []
             for lo in range(0, n, chunk):
                 vecs = self.vectors[lo:lo + chunk]
                 block = np.broadcast_to(
@@ -391,26 +388,26 @@ class _Closure:
                 if not moved.any():
                     continue
                 block = block[moved] % self.p
-                src = (np.nonzero(moved)[0] + lo).repeat(self.pm1)
-                dst = self._canonical_batch(block.reshape(-1, self.d))
-                for enc in np.unique(src * n + dst):
-                    a, b = divmod(int(enc), n)
-                    ra, rb = self._find(a), self._find(b)
-                    if ra != rb:
-                        self.parent[ra] = rb
-        zero = int(self.offsets[0])
-        roots_seen = {self._find(i) for i in range(n)}
-        assert self._find(zero) == zero and sum(
-            1 for i in range(n) if self._find(i) == zero) == 1, \
+                # edges between the orbits so far; those inside one are dropped
+                src = label[np.nonzero(moved)[0] + lo].repeat(self.pm1)
+                dst = label[self._canonical_batch(block.reshape(-1, self.d))]
+                cross = src != dst
+                srcs.append(src[cross])
+                dsts.append(dst[cross])
+            if srcs:
+                label = component_labels(n, np.concatenate(srcs),
+                                         np.concatenate(dsts))[label]
+        self.label = label
+        assert np.count_nonzero(label == label[self.offsets[0]]) == 1, \
             "zero vector must be a singleton orbit"
-        return len(roots_seen)
+        return int(np.count_nonzero(label == np.arange(n)))
 
     def class_of(self, support_subset):
-        """Representative state index of the sum of the given basis lines."""
+        """Least state of the orbit of the sum of the given basis lines."""
         vec = np.zeros((1, self.d), dtype=np.int64)
         for r in support_subset:
             vec[0, self.roots.index(r)] = 1
-        return self._find(int(self._canonical_batch(vec)[0]))
+        return int(self.label[self._canonical_batch(vec)[0]])
 
 
 def _support_roots(supports):
@@ -445,7 +442,7 @@ def orbit_count_ff(nm: NilModule, supports, p: int, sc=None,
     """Exact orbit count of the centralizer action on the joint span of the
     chosen submodules, over the field of p elements."""
     closure = _closure_for(nm, supports, p, sc, cap, state_budget, convention)
-    return OrbitCount(closure.run(), (p,), True)
+    return OrbitCount(closure.run())
 
 
 def representatives_distinct(nm, supports, reps, p, **kw) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from math import gcd
+from math import gcd, prod
 
 from . import nilorbits, report
 from .cases import CaseError, tabulated_cases
@@ -344,7 +344,7 @@ def unit_orbit_case(name, order, prime_bound, dim_cap, state_budget):
                                  state_budget=state_budget)
 
 
-def unit_regular_count(name):
+def unit_regular_count(name, prime_bound, dim_cap, state_budget):
     """Orbit count at an order past every exponent.
 
     The eigenspace is the span of the simple root lines and the bracket
@@ -358,7 +358,7 @@ def unit_regular_count(name):
     rs = build(parse_type(name))
     case = f"{name}.regular"
     m = max(rs.degrees) + 1
-    primes = admissible_primes(m)
+    primes = admissible_primes(m, limit=prime_bound)
     nm = nilorbits.build_nqs(rs, standard_point(rs, m))
     parts = nilorbits.decompose(nm)
     weight_of = dict(zip(nm.basis_roots, nm.torus_weights))
@@ -368,15 +368,11 @@ def unit_regular_count(name):
     rational = {}
     predicted = {}
     for q in primes:
-        per = [nilorbits.orbit_count_ff(nm, [sub], q).count for sub in parts]
-        total = 1
-        for c in per:
-            total *= c
-        rational[str(q)] = total
-        want = 1
-        for c in contents:
-            want *= 1 + gcd(c, q - 1)
-        predicted[str(q)] = want
+        rational[str(q)] = prod(
+            nilorbits.orbit_count_ff(nm, [sub], q, cap=dim_cap,
+                                     state_budget=state_budget).count
+            for sub in parts)
+        predicted[str(q)] = prod(1 + gcd(c, q - 1) for c in contents)
     independent = (weight_rank == rs.rank and len(parts) == rs.rank
                    and all(sub.dim == 1 for sub in parts)
                    and not nm.unipotent_generators)
@@ -578,7 +574,9 @@ def _plan(config: RunConfig):
                     (str(name), order, config.prime_bound, config.dim_cap,
                      config.state_budget)))
     for name in REGULAR_TYPES:
-        out.append(("nilorbits", f"{name}.regular", "regular-count", (name,)))
+        out.append(("nilorbits", f"{name}.regular", "regular-count",
+                    (name, config.prime_bound, config.dim_cap,
+                     config.state_budget)))
     out.append(("hecke", "words", "translation-words", ()))
     for name in BALL_TYPES:
         out.append(("hecke", f"{name}.ball", "theta-ball",

@@ -222,6 +222,71 @@ def test_representatives_distinct_detects_collisions():
     assert not representatives_distinct(nm, [single], [(line,), (line,)], 29)
 
 
+# --- orbit closure against a union-find oracle -------------------------------
+
+
+def union_find_least(n, edges):
+    """Plain union-find over the given edges: the least state of each
+    state's block."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    least = {}
+    for i in range(n):
+        least.setdefault(find(i), i)
+    return [least[find(i)] for i in range(n)]
+
+
+def move_edges(closure):
+    """Every (state, image state) pair of every move, one scalar at a time,
+    from the closure's move matrices."""
+    p, vecs = closure.p, closure.vectors
+    for mats in closure.moves:
+        for c in range(1, p):
+            img = vecs.copy()
+            for k, mat in enumerate(mats, start=1):
+                if mat is not None:
+                    img += pow(c, k, p) * vecs.dot(mat.T) % p
+            dst = closure._canonical_batch(img % p)
+            yield from enumerate(dst.tolist())
+
+
+def closure_of(rstype, order, p, modules):
+    """The closure over the named modules of a detailed case table."""
+    rs, nm = nil(rstype, order)
+    table = case_table(rstype, order)
+    comp = {frozenset(sub.support): sub for sub in decompose(nm)}
+    return no._closure_for(
+        nm, [comp[table.module_support(name)] for name in modules], p)
+
+
+@pytest.mark.parametrize("rstype,order,p,modules,states", [
+    ("E6", 7, 29, ("M1",), 43), ("E6", 7, 29, ("M2",), 43),
+    ("E6", 7, 29, ("M3",), 4), ("E6", 7, 29, ("M4",), 2),
+    ("E8", 16, 17, ("M1", "M3"), 454),
+])
+def test_closure_labels_match_a_union_find_oracle(rstype, order, p, modules,
+                                                  states):
+    closure = closure_of(rstype, order, p, modules)
+    assert closure.n_states == states
+    least = union_find_least(states, move_edges(closure))
+    assert closure.run() == len(set(least))
+    assert closure.label.tolist() == least
+    for bits in range(1 << closure.d):
+        subset = [r for i, r in enumerate(closure.roots) if bits >> i & 1]
+        vec = np.zeros((1, closure.d), dtype=np.int64)
+        vec[0, [closure.roots.index(r) for r in subset]] = 1
+        state = int(closure._canonical_batch(vec)[0])
+        assert closure.class_of(subset) == least[state]
+
+
 # --- per-case driver ---------------------------------------------------------
 
 

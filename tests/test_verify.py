@@ -107,6 +107,16 @@ def test_small_prime_bound_skips_instead_of_failing():
     assert rep.exit_code == 0
 
 
+def test_small_prime_bound_skips_a_regular_count():
+    # E8.regular needs p = 1 mod 31; the smallest such prime is 311
+    rep = verify_all(RunConfig(cases=("E8.regular",), prime_bound=100))
+    assert len(rep.records) == 1
+    rec = rep.records[0]
+    assert rec["status"] == "skipped" and rec["case"] == "E8.regular"
+    assert "below 100" in rec["statement"]
+    assert rep.exit_code == 0
+
+
 def test_selected_run_is_deterministic():
     cfg = RunConfig(cases=("A2.roots", "partitions.values"))
     a = verify_all(cfg)
