@@ -9,8 +9,10 @@ are a separate torsion component; for finite m the torsion folds into the
 q-exponent part exactly, for generic q it is carried along separately.
 
 Conjugacy of semisimple elements in the simply connected group reduces to
-the Weyl group orbit on these coweights, which is decided exactly, by
-breadth-first search over integer-encoded coordinates.
+the Weyl group orbit on these coweights, which is decided exactly: the
+coordinates are scaled to integers, every row of the enumerated Weyl group
+is applied to them at once, and two points are conjugate iff their orbits
+have the same least image.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import numpy as np
 
 from . import report
 from .rootsystem import RootSystem, RootSystemType, build, components
-from .weyl import DEFAULT_BUDGET, WeylBudgetError, poincare_vanishes, valid_orders
+from .weyl import (
+    _ROW_CHUNK, DEFAULT_BUDGET, WeylBudgetError, _gather_tables, enumerate_group,
+    poincare_vanishes, valid_orders)
 
 __all__ = [
     "INFINITE", "TorusPoint", "TorusError", "standard_point", "mixed_point",
@@ -297,93 +301,57 @@ def centralizer_signature(rs: RootSystem, s: TorusPoint) -> SubsystemSignature:
 # conjugacy by Weyl orbit
 
 
-def _int_encoding(rs: RootSystem, points):
-    """Common denominator integer encoding for finite-order points."""
-    m = points[0].order
-    d = lcm(*[c.denominator for p in points for c in p.vq], 1)
-    M = m * d
-    coords = np.array([[int(c * d) % M for c in p.vq] for p in points],
-                      dtype=np.int64)
-    return coords, d, M
+def _least_images(rs: RootSystem, points, budget):
+    """The least image of each point over the whole Weyl group, as a tuple
+    of integers; points of one order are conjugate iff these are equal.
 
-
-def _orbit_keys(rs: RootSystem, point: TorusPoint, others, budget):
-    """BFS the Weyl orbit of a finite-order point; returns which of the
-    other points were hit."""
-    pts = [point] + list(others)
-    coords, d, M = _int_encoding(rs, pts)
-    n = rs.rank
-    pows = np.array([M ** i for i in range(n)], dtype=np.int64)
-    assert M ** n < 2 ** 62
-    cartan = np.array(rs.cartan, dtype=np.int64)
-
-    def keys_of(arr):
-        return (arr * pows).sum(axis=1)
-
-    targets = keys_of(coords[1:])
-    frontier = coords[:1]
-    visited = keys_of(frontier)
-    total = 1
-    while frontier.shape[0]:
-        cands = []
-        for i in range(n):
-            h = frontier @ cartan[i]
-            nxt = frontier.copy()
-            nxt[:, i] = (nxt[:, i] - h) % M
-            cands.append(nxt)
-        cand = np.concatenate(cands)
-        kk = keys_of(cand)
-        uniq, first = np.unique(kk, return_index=True)
-        pos = np.searchsorted(visited, uniq)
-        pos[pos == visited.size] = 0
-        mask = visited[pos] != uniq
-        new_keys = uniq[mask]
-        if not new_keys.size:
-            break
-        total += new_keys.size
-        if total > budget:
-            raise WeylBudgetError(
-                f"orbit of torus point in {rs.rstype} exceeded budget {budget}")
-        frontier = cand[first][mask]
-        visited = np.union1d(visited, new_keys)
-    hit = np.isin(targets, visited)
-    return [bool(h) for h in hit]
+    The coordinates of all points are scaled to integers by one common
+    denominator d: the q-part exactly (mod m*d at finite order m) and the
+    torsion part mod d.  A group row w acts as w(v) = sum_k v_k
+    coroot(w(a_k)), gathered from the per-type coroot table, a chunk of
+    rows at a time; images compare lexicographically."""
+    group = enumerate_group(rs, budget)
+    coroots = _gather_tables(rs.rstype)[3]
+    m, n = points[0].order, rs.rank
+    d = lcm(*(c.denominator for p in points for c in p.vq + p.tor))
+    out = []
+    for p in points:
+        vq = [int(c * d) for c in p.vq]
+        tor = [int(c * d) for c in p.tor]
+        # int64 guard: no image coordinate exceeds this before reduction
+        assert (sum(map(abs, vq + tor)) * int(np.abs(coroots).max())
+                < 2 ** 62), "torus coordinates too large for int64"
+        columns = ([(vq, m * d if m else None, i) for i in range(n)]
+                   + [(tor, d, i) for i in range(n)])
+        best = None
+        for lo in range(0, len(group), _ROW_CHUNK):
+            rows = group.perms[lo:lo + _ROW_CHUNK]
+            least = []
+            # lexicographic minimum: one image column at a time, over the
+            # rows still tied for least
+            for vec, mod, i in columns:
+                col = np.zeros(len(rows), dtype=np.int64)
+                for k, c in enumerate(vec):
+                    if c:
+                        col += c * coroots[rows[:, k], i]
+                if mod:
+                    col %= mod
+                least.append(int(col.min()))
+                rows = rows[col == least[-1]]
+            best = least if best is None else min(best, least)
+        out.append(tuple(best))
+    return out
 
 
 def conjugate_in_G(rs: RootSystem, s: TorusPoint, t: TorusPoint,
                    budget: int = DEFAULT_BUDGET) -> bool:
     """Whether s and t are conjugate in the simply connected group: true iff
-    some Weyl element maps one coweight to the other (mod m Q^vee)."""
+    some Weyl element maps one coweight to the other (mod m Q^vee).  Refuses
+    with WeylBudgetError when |W| is over the budget."""
     if s.order != t.order:
         raise TorusError("points must share the same order of q")
-    if s.key() == t.key():
-        return True
-    if rs.weyl_order() > budget:
-        raise WeylBudgetError(
-            f"Weyl group of {rs.rstype} has order {rs.weyl_order()}, "
-            f"over the budget of {budget}; cannot decide conjugacy by orbit")
-    if s.order is not None:
-        return _orbit_keys(rs, s, [t], budget)[0]
-    # generic q: plain BFS over exact coordinate pairs
-    start = s.key()
-    goal = t.key()
-    seen = {start}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for i in range(rs.rank):
-                r = p.reflect(i)
-                k = r.key()
-                if k == goal:
-                    return True
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(r)
-        if len(seen) > budget:
-            raise WeylBudgetError("orbit exceeded budget")
-        frontier = nxt
-    return False
+    least_s, least_t = _least_images(rs, [s, t], budget)
+    return least_s == least_t
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +400,9 @@ def count_one_dim_characters(rstype: RootSystemType, m,
                              budget: int = DEFAULT_BUDGET) -> int:
     """Count pairwise non-conjugate points among the center translates of
     the standard and mixed points.  For the q=1 model (m=1) the count is
-    the center order itself: one character per central element."""
+    the center order itself: one character per central element.  Any
+    other order needs the whole Weyl group, so it refuses with
+    WeylBudgetError when |W| is over the budget."""
     rs = build(rstype)
     m = _norm_order(m)
     z_reps = center_representatives(rs)
@@ -444,28 +414,7 @@ def count_one_dim_characters(rstype: RootSystemType, m,
     if len(set(classes)) == 1:
         raise TorusError(f"{rstype} is simply laced; the doubling claim "
                          "needs two root lengths")
-    points = []
-    for z in z_reps:
-        points.append(central_twist(standard_point(rs, m), z))
-    for z in z_reps:
-        points.append(central_twist(mixed_point(rs, m), z))
-    # group the points into conjugacy classes
-    reps = []
-    assignment = [None] * len(points)
-    for i, pt in enumerate(points):
-        if assignment[i] is not None:
-            continue
-        assignment[i] = len(reps)
-        others = [(j, points[j]) for j in range(i + 1, len(points))
-                  if assignment[j] is None]
-        if others and pt.order is not None:
-            hits = _orbit_keys(rs, pt, [p for _, p in others], budget)
-            for (j, _), h in zip(others, hits):
-                if h:
-                    assignment[j] = len(reps)
-        else:
-            for j, other in others:
-                if conjugate_in_G(rs, pt, other, budget):
-                    assignment[j] = len(reps)
-        reps.append(i)
-    return len(reps)
+    points = [central_twist(base, z)
+              for base in (standard_point(rs, m), mixed_point(rs, m))
+              for z in z_reps]
+    return len(set(_least_images(rs, points, budget)))

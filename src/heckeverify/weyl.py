@@ -1,8 +1,7 @@
 """Weyl groups: enumeration, Poincare polynomials, character counts.
 
 The whole group is enumerated as integer arrays: row i holds the root
-indices (w(alpha_1), ..., w(alpha_n)) of element i, found breadth-first by
-left multiplication with the simple reflections; this scales to a few
+indices (w(alpha_1), ..., w(alpha_n)) of element i; this scales to a few
 million elements.  Sweeps over the group work on row indices alone:
 conjugation by a simple reflection is one table of rows built by integer
 gathers, and the conjugacy classes are the connected components of those
@@ -10,10 +9,12 @@ tables.  WeylElement is the exact object behind one row, for code that
 composes, inverts and factors single elements (the extended affine group
 in hecke).
 
-Lengths come for free from the BFS: left multiplication by a simple
-reflection changes the length by exactly one, so BFS depth equals Coxeter
-length.  That also means layer-(k+1) candidates can only collide with
-layer k-1, which keeps the dedupe cheap.
+The enumeration walks the descent tree (Casselman, "Machine calculations
+in Weyl groups", Invent. Math. 116, 1994): every w != 1 has a least right
+descent j, and its parent is w s_j, one shorter.  So the children of x are
+the x s_j with x(alpha_j) > 0 whose least right descent is j, that is,
+with (x s_j)(alpha_i) > 0 for every i < j.  Every element is produced
+exactly once, at depth equal to its Coxeter length, with no dedupe.
 """
 
 from __future__ import annotations
@@ -176,16 +177,6 @@ class WeylElement:
 # numpy engine
 
 
-def _reflection_tables(rs: RootSystem):
-    """refl[j][r] = index of s_j(root r), over all roots."""
-    nroots = len(rs.all_roots)
-    refl = np.empty((rs.rank, nroots), dtype=np.int16)
-    for j in range(rs.rank):
-        for r, root in enumerate(rs.all_roots):
-            refl[j][r] = rs.index[rs.reflect(root, j)]
-    return refl
-
-
 def _key_powers(rs: RootSystem):
     nroots = len(rs.all_roots)
     base = 1 << max(1, (nroots - 1).bit_length())
@@ -217,9 +208,7 @@ class GroupEnumeration:
         self.perms = perms
         self.lengths = lengths
         self._powers = powers
-        keys = _keys(perms, powers)
-        self._sorted_keys = np.sort(keys)
-        self._sorted_to_row = np.argsort(keys, kind="stable")
+        self._index = None      # sorted keys and their rows, for lookup
 
     def __len__(self):
         return self.perms.shape[0]
@@ -230,10 +219,15 @@ class GroupEnumeration:
 
     def lookup(self, perm_batch):
         """Row indices of a (B, rank) batch of image tuples."""
+        if self._index is None:
+            keys = _keys(self.perms, self._powers)
+            rows = np.argsort(keys)
+            self._index = keys[rows], rows
+        sorted_keys, rows = self._index
         keys = _keys(perm_batch, self._powers)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        assert np.array_equal(self._sorted_keys[pos], keys)
-        return self._sorted_to_row[pos]
+        pos = np.searchsorted(sorted_keys, keys)
+        assert np.array_equal(sorted_keys[pos], keys)
+        return rows[pos]
 
     def element(self, i: int) -> WeylElement:
         images = [self.rs.all_roots[r] for r in self.perms[i]]
@@ -248,7 +242,8 @@ _ENUM_CACHE: dict = {}
 
 
 def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumeration:
-    """Enumerate the whole Weyl group breadth-first.
+    """Enumerate the whole Weyl group down the descent tree, one length at
+    a time (see the module docstring).
 
     Refuses groups larger than the budget before doing any work, since
     the order is known in advance from the degrees.
@@ -262,44 +257,27 @@ def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumer
     if cached is not None:
         return cached
 
-    refl = _reflection_tables(rs)
     powers = _key_powers(rs)
-    n = rs.rank
-
-    ident = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
-    layers = [ident]
-    layer_keys = [_keys(ident, powers)]
-    lengths = [np.zeros(1, dtype=np.int16)]
-
-    depth = 0
-    total = 1
-    frontier = ident
-    prev_keys = np.array([], dtype=np.uint64)
+    npos = len(rs.positive_roots)     # root indices below npos are positive
+    frontier = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
+    layers = [frontier]
     while frontier.shape[0]:
-        cand = np.concatenate([refl[j][frontier] for j in range(n)])
-        keys = _keys(cand, powers)
-        uniq_keys, first = np.unique(keys, return_index=True)
-        cand = cand[first]
-        # candidates either fall back into layer depth-1 or are new
-        pos = np.searchsorted(prev_keys, uniq_keys)
-        pos[pos == prev_keys.size] = 0
-        fresh = prev_keys.size == 0
-        mask = ~np.equal(prev_keys[pos], uniq_keys) if not fresh else np.ones(
-            uniq_keys.size, dtype=bool)
-        new = cand[mask]
-        if not new.shape[0]:
-            break
-        depth += 1
-        total += new.shape[0]
-        layers.append(new)
-        lengths.append(np.full(new.shape[0], depth, dtype=np.int16))
-        prev_keys = layer_keys[-1]
-        layer_keys.append(uniq_keys[mask])
-        frontier = new
+        children = []
+        for j in range(rs.rank):
+            y = _right_mul(rs, frontier[frontier[:, j] < npos], j)
+            children.append(y[(y[:, :j] < npos).all(axis=1)])
+        # each length sorted by key: in tree order, the binary searches of
+        # lookup over whole conjugation tables are three times slower
+        frontier = np.concatenate(children)
+        frontier = frontier[np.argsort(_keys(frontier, powers))]
+        layers.append(frontier)
+    perms = np.concatenate(layers)
+    lengths = np.repeat(np.arange(len(layers), dtype=np.int16),
+                        [len(layer) for layer in layers])
+    total = perms.shape[0]
     assert total == order, (total, order)
 
-    out = GroupEnumeration(rs, np.concatenate(layers),
-                           np.concatenate(lengths), powers)
+    out = GroupEnumeration(rs, perms, lengths, powers)
     _ENUM_CACHE[rs.rstype] = out
     return out
 
@@ -426,32 +404,60 @@ def irr_count(rs: RootSystem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes
+# gather tables and conjugacy classes
 
 
 @lru_cache(maxsize=None)
 def _gather_tables(rstype):
-    """Root-index tables for the conjugation gathers.
+    """Per-type root-index tables for the gathers over group rows.
 
     comb[k][r, s] is the index of root r + k*s, or -1 when that is not a
     root, for each k = -C_ij over the nonzero off-diagonal Cartan entries;
-    neg[r] is the index of -r; refl as in _reflection_tables."""
+    neg[r] is the index of -r; refl[j][r] the index of s_j(r); coroots[r]
+    the coordinates of r^vee over the simple coroots."""
     rs = build(rstype)
-    nroots = len(rs.all_roots)
     ks = {-c for i, row in enumerate(rs.cartan) for j, c in enumerate(row)
           if i != j and c}
+    # vectors are looked up by an integer key over a box that holds every
+    # r + k*s; the roots' keys are sorted once
+    roots = np.array(rs.all_roots, dtype=np.int64)
+    off = (1 + max(ks, default=0)) * int(roots.max())
+    powers = (2 * off + 1) ** np.arange(rs.rank, dtype=np.int64)
+    assert (2 * off + 1) ** rs.rank < 2 ** 62
+    root_keys = (roots + off) @ powers
+    by_key = np.argsort(root_keys)
+    sorted_keys = root_keys[by_key]
     comb = {}
     for k in sorted(ks):
-        table = np.full((nroots, nroots), -1, dtype=np.int16)
-        for r, a in enumerate(rs.all_roots):
-            for s, b in enumerate(rs.all_roots):
-                got = rs.index.get(tuple(x + k * y for x, y in zip(a, b)))
-                if got is not None:
-                    table[r, s] = got
-        comb[k] = table
+        keys = ((roots[:, None, :] + k * roots[None, :, :] + off) @ powers)
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(roots) - 1)
+        comb[k] = np.where(sorted_keys[pos] == keys, by_key[pos],
+                           -1).astype(np.int16)
     neg = np.array([rs.index[tuple(-x for x in a)] for a in rs.all_roots],
                    dtype=np.int16)
-    return comb, neg, _reflection_tables(rs)
+    refl = np.array([[rs.index[rs.reflect(a, j)] for a in rs.all_roots]
+                     for j in range(rs.rank)], dtype=np.int16)
+    coroots = np.array([rs.coroot_coords(a) for a in rs.all_roots],
+                       dtype=np.int64)
+    return comb, neg, refl, coroots
+
+
+def _right_mul(rs: RootSystem, x, j: int):
+    """Rows of x s_j for a (B, rank) batch of rows x.
+
+    x s_j sends a_i to x(a_i) - C_ij x(a_j): one gather in a root
+    combination table per Cartan entry (the negation table for i = j)."""
+    comb, neg, _, _ = _gather_tables(rs.rstype)
+    z = x.copy()
+    for i in range(rs.rank):
+        c = rs.cartan[i][j]
+        if i == j:
+            z[:, i] = neg[x[:, j]]
+        elif c:
+            z[:, i] = comb[-c][x[:, i], x[:, j]]
+    if (z < 0).any():
+        raise AssertionError(f"x s_{j} left the roots of {rs.rstype}")
+    return z
 
 
 _ROW_CHUNK = 1 << 18
@@ -460,47 +466,33 @@ _ROW_CHUNK = 1 << 18
 def conjugation_table(group: GroupEnumeration, j: int):
     """conj[i] = row of s_j * x_i * s_j, for every element x_i at once.
 
-    x s_j sends a_i to x(a_i) - C_ij x(a_j): one gather in a root
-    combination table per Cartan entry (the negation table for i = j).
-    Applying s_j on the left is one gather in the reflection table, and
-    the resulting image tuples are looked up as group rows."""
-    rs = group.rs
-    comb, neg, refl = _gather_tables(rs.rstype)
+    x s_j comes from _right_mul; applying s_j on the left is one gather in
+    the reflection table, and the resulting image tuples are looked up as
+    group rows."""
+    refl = _gather_tables(group.rs.rstype)[2]
     out = np.empty(len(group), dtype=np.int32)
     for lo in range(0, len(group), _ROW_CHUNK):
-        x = group.perms[lo:lo + _ROW_CHUNK]
-        z = x.copy()
-        for i in range(rs.rank):
-            c = rs.cartan[i][j]
-            if i == j:
-                z[:, i] = neg[x[:, j]]
-            elif c:
-                z[:, i] = comb[-c][x[:, i], x[:, j]]
-        if (z < 0).any():
-            raise AssertionError(f"x s_{j} left the roots of {rs.rstype}")
+        z = _right_mul(group.rs, group.perms[lo:lo + _ROW_CHUNK], j)
         out[lo:lo + _ROW_CHUNK] = group.lookup(refl[j][z])
     return out
-
-
-def _conjugation_edges(group: GroupEnumeration):
-    """(src, dst) with one edge x -- s_j x s_j per simple reflection and
-    unordered pair, since each table is an involution.  A function of its
-    own so the per-table pieces are freed before the labelling starts."""
-    rows = np.arange(len(group), dtype=np.int32)
-    src, dst = [], []
-    for j in range(group.rs.rank):
-        conj = conjugation_table(group, j)
-        keep = rows < conj
-        src.append(rows[keep])
-        dst.append(conj[keep])
-    return np.concatenate(src), np.concatenate(dst)
 
 
 def conjugacy_class_count(rs: RootSystem, budget: int = DEFAULT_BUDGET):
     """Number and sizes of conjugacy classes: the connected components of
     the graph joining x to s_j x s_j for every simple reflection s_j.
-    Returns (count, sorted sizes)."""
+    Returns (count, sorted sizes).
+
+    Each conjugation table is folded into the class labels as it is built
+    (each label is the least row of its class so far): its row pairs are
+    taken through the current labels, pairs already in one class are
+    dropped, and each table being an involution, one orientation of each
+    pair is enough."""
     group = enumerate_group(rs, budget)
-    label = component_labels(len(group), *_conjugation_edges(group))
+    n = len(group)
+    label = np.arange(n, dtype=np.int32)
+    for j in range(rs.rank):
+        a, b = label, label[conjugation_table(group, j)]
+        keep = a < b
+        label = component_labels(n, a[keep], b[keep])[label]
     sizes = np.unique(label, return_counts=True)[1]
     return len(sizes), sorted(int(k) for k in sizes)

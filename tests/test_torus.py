@@ -266,6 +266,48 @@ def test_conjugacy_budget_refusal():
         conjugate_in_G(rs8, standard_point(rs8, 9), mixed_point(rs8, 9))
 
 
+def bfs_orbit(rs, point):
+    """Keys of the Weyl orbit of a point by plain breadth-first search
+    over simple reflections: the generic-q path the orbit engine replaced,
+    run at every order."""
+    seen = {point.key()}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for i in range(rs.rank):
+                r = p.reflect(i)
+                if r.key() not in seen:
+                    seen.add(r.key())
+                    nxt.append(r)
+        frontier = nxt
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "C3", "G2"])
+def test_orbit_engine_matches_reflection_bfs(name):
+    rs = rs_of(name)
+    for m in sorted(valid_orders(rs)) + [INFINITE]:
+        points = [central_twist(base, z)
+                  for base in (standard_point(rs, m), mixed_point(rs, m))
+                  for z in center_representatives(rs)]
+        points += [pt.reflect(0).reflect(rs.rank - 1) for pt in points]
+        orbits = [bfs_orbit(rs, pt) for pt in points]
+        for a, orbit in zip(points, orbits):
+            for b in points:
+                assert conjugate_in_G(rs, a, b) == (b.key() in orbit), (name, m)
+        # the character count's points are the first 2|Z|, before the images
+        want = len(set(orbits[:len(points) // 2]))
+        assert count_one_dim_characters(rs.rstype, m) == want, (name, m)
+
+
+def test_character_count_refuses_over_budget():
+    # every order but q = 1 needs the whole group, here of order 384
+    with pytest.raises(WeylBudgetError, match="384"):
+        count_one_dim_characters(parse_type("B4"), 5, budget=100)
+    assert count_one_dim_characters(parse_type("B4"), 1, budget=100) == 2
+
+
 def test_infinite_order_conjugacy():
     rs = rs_of("B2")
     s = standard_point(rs, INFINITE)

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from heckeverify import weyl
 from heckeverify.rootsystem import parse_type, build
 from heckeverify.weyl import (
     WeylBudgetError, WeylElement, enumerate_group, poincare,
@@ -72,6 +73,47 @@ def test_lookup_roundtrip():
     g = enumerate_group(rs_of("B3"))
     rows = g.lookup(g.perms[::7])
     assert list(rows) == list(range(0, len(g), 7))
+
+
+def layer_bfs(rs):
+    """The breadth-first enumeration the descent tree replaced: left
+    multiplication by every simple reflection, each layer deduplicated
+    with np.unique and against the layer before.  Returns image rows and
+    lengths."""
+    refl = np.array([[rs.index[rs.reflect(a, j)] for a in rs.all_roots]
+                     for j in range(rs.rank)], dtype=np.int16)
+    powers = weyl._key_powers(rs)
+    frontier = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
+    layers, lengths = [frontier], [0]
+    prev_keys = np.array([], dtype=np.uint64)
+    keys = weyl._keys(frontier, powers)
+    while True:
+        cand = np.concatenate([refl[j][frontier] for j in range(rs.rank)])
+        uniq, first = np.unique(weyl._keys(cand, powers), return_index=True)
+        new = ~np.isin(uniq, prev_keys)
+        if not new.any():
+            break
+        prev_keys, keys = keys, uniq[new]
+        frontier = cand[first][new]
+        layers.append(frontier)
+        lengths += [lengths[-1] + 1] * len(frontier)
+    return np.concatenate(layers), lengths
+
+
+@pytest.mark.parametrize("name", ["A5", "B4", "C4", "D5", "E6", "F4", "G2"])
+def test_descent_tree_matches_layer_bfs(name):
+    rs = rs_of(name)
+    g = enumerate_group(rs)
+    perms, lengths = layer_bfs(rs)
+    powers = weyl._key_powers(rs)
+    keys = weyl._keys(g.perms, powers).tolist()
+    want = weyl._keys(perms, powers).tolist()
+    assert len(set(keys)) == len(keys) == rs.weyl_order()    # no duplicates
+    assert set(keys) == set(want)
+    length_of = dict(zip(want, lengths))
+    assert [length_of[k] for k in keys] == g.lengths.tolist()
+    # rows keep the breadth-first order: by length, then by key
+    assert keys == want
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +276,20 @@ def test_a4_class_sizes():
     # the cycle types of S5
     assert conjugacy_class_count(rs_of("A4")) == \
         (7, [1, 10, 15, 20, 20, 24, 30])
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_root_combination_tables_match_a_loop(name):
+    # the vectorised key lookup against the plain dict lookup it replaced
+    rs = rs_of(name)
+    comb, _, _, coroots = weyl._gather_tables(rs.rstype)
+    for k, table in comb.items():
+        for r, a in enumerate(rs.all_roots):
+            for s, b in enumerate(rs.all_roots):
+                got = rs.index.get(tuple(x + k * y for x, y in zip(a, b)), -1)
+                assert table[r, s] == got, (name, k, a, b)
+    assert coroots.tolist() == [list(rs.coroot_coords(a))
+                                for a in rs.all_roots]
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2"])
