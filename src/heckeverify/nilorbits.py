@@ -8,7 +8,8 @@ plus a discrete class computed by integer lattice reduction of the
 restricted weight matrix); the orbits are then the components of these
 states under the unipotent one-parameter moves over every field scalar,
 labelled by rootsystem.component_labels.  Counting the same case over two
-primes and both sign conventions guards the arithmetic.
+primes guards the arithmetic; the sweep counts over one sign convention,
+and the cross-check against the twisted table runs only in the tests.
 """
 
 from dataclasses import dataclass, field
@@ -64,11 +65,6 @@ class Submodule:
     @property
     def dim(self) -> int:
         return len(self.support)
-
-
-@dataclass(frozen=True)
-class OrbitCount:
-    count: int
 
 
 def _refuse_point(rs: RootSystem, s: TorusPoint):
@@ -264,9 +260,12 @@ class _Closure:
     States are indexed densely: support pattern bitmask, then the
     mixed-radix class label within the pattern.  All image computation and
     canonicalization is vectorized across states and scalars.  Each
-    state's label is the least state of its orbit so far."""
+    state's label is the least state of its orbit so far; run() sets count."""
 
-    def __init__(self, nm: NilModule, roots, p, sc, state_budget):
+    def __init__(self, nm: NilModule, roots, p, sc=None,
+                 state_budget=DEFAULT_STATE_BUDGET):
+        if sc is None:
+            sc = structure_constants(nm.rs.rstype)
         self.p = p
         self.pm1 = p - 1
         self.roots = tuple(roots)
@@ -352,15 +351,18 @@ class _Closure:
         out = np.zeros(len(block), dtype=np.int64)
         weightsbits = (block != 0).astype(np.int64).dot(
             1 << np.arange(self.d, dtype=np.int64))
-        for bits in np.unique(weightsbits):
-            rows = np.nonzero(weightsbits == bits)[0]
-            data, sel = self.support_data[int(bits)]
+        # rows grouped by support pattern: one sort, split where it changes
+        order = np.argsort(weightsbits, kind="stable")
+        starts = np.flatnonzero(np.diff(weightsbits[order])) + 1
+        for rows in np.split(order, starts):
+            bits = int(weightsbits[rows[0]])
+            data, sel = self.support_data[bits]
             if not len(sel):
-                out[rows] = self.offsets[int(bits)]
+                out[rows] = self.offsets[bits]
                 continue
             dl = self.dlog[block[np.ix_(rows, sel)]]
             lab = dl.dot(data.unit.T) % self.pm1 % data.mod_arr
-            out[rows] = self.offsets[int(bits)] + lab.dot(data.strides)
+            out[rows] = self.offsets[bits] + lab.dot(data.strides)
         return out
 
     def run(self):
@@ -400,7 +402,8 @@ class _Closure:
         self.label = label
         assert np.count_nonzero(label == label[self.offsets[0]]) == 1, \
             "zero vector must be a singleton orbit"
-        return int(np.count_nonzero(label == np.arange(n)))
+        self.count = int(np.count_nonzero(label == np.arange(n)))
+        return self.count
 
     def class_of(self, support_subset):
         """Least state of the orbit of the sum of the given basis lines."""
@@ -417,39 +420,26 @@ def _support_roots(supports):
     return tuple(sorted(set(roots)))
 
 
-def _constants(rstype, convention):
-    # the default convention uses the one-argument cache key every other
-    # caller uses, so the cache's miss count stays the number of tables built
-    if convention == "extraspecial":
-        return structure_constants(rstype)
-    return structure_constants(rstype, convention)
-
-
-def _closure_for(nm, supports, p, sc=None, cap=DEFAULT_DIM_CAP,
-                 state_budget=DEFAULT_STATE_BUDGET, convention="extraspecial"):
+def orbit_count_ff(nm: NilModule, supports, p: int, sc=None,
+                   cap=DEFAULT_DIM_CAP,
+                   state_budget=DEFAULT_STATE_BUDGET) -> _Closure:
+    """Exact orbit count of the centralizer action on the joint span of the
+    chosen submodules, over the field of p elements: the closure after its
+    run, with the count in .count.  sc defaults to the extraspecial table.
+    Raises NilOrbitError over the dimension cap or the state budget."""
     roots = _support_roots(supports)
     if len(roots) > cap:
         raise NilOrbitError(
             f"joint support has dimension {len(roots)}, over the cap {cap}")
-    if sc is None:
-        sc = _constants(nm.rs.rstype, convention)
-    return _Closure(nm, roots, p, sc, state_budget)
-
-
-def orbit_count_ff(nm: NilModule, supports, p: int, sc=None,
-                   cap=DEFAULT_DIM_CAP, state_budget=DEFAULT_STATE_BUDGET,
-                   convention="extraspecial") -> OrbitCount:
-    """Exact orbit count of the centralizer action on the joint span of the
-    chosen submodules, over the field of p elements."""
-    closure = _closure_for(nm, supports, p, sc, cap, state_budget, convention)
-    return OrbitCount(closure.run())
-
-
-def representatives_distinct(nm, supports, reps, p, **kw) -> bool:
-    """Whether the given vectors (each a set of basis roots summed with
-    coefficient one) fall into pairwise distinct orbits."""
-    closure = _closure_for(nm, supports, p, **kw)
+    closure = _Closure(nm, roots, p, sc, state_budget)
     closure.run()
+    return closure
+
+
+def representatives_distinct(closure: _Closure, reps) -> bool:
+    """Whether the given vectors (each a set of basis roots summed with
+    coefficient one) fall into pairwise distinct orbits of a closure that
+    has run, such as the one orbit_count_ff returns."""
     classes = [closure.class_of(rep) for rep in reps]
     return len(set(classes)) == len(classes)
 
@@ -458,14 +448,25 @@ def representatives_distinct(nm, supports, reps, p, **kw) -> bool:
 # per-case driver
 
 
+# an orbit case's five records in report order, each with its table anchor
+CASE_RECORDS = (("generators", "generator roots"),
+                ("q-roots", "exponent-one roots"),
+                ("decomposition", "submodule supports"),
+                ("orbit-counts", "orbit counts"),
+                ("bound", "orbit-count bound"))
+
+
 @dataclass(frozen=True)
 class GroupCount:
+    """One grouping's orbit counts.  distinct: its recorded representatives
+    lie in pairwise distinct orbits at every prime (None: none recorded)."""
     modules: tuple          # module names counted jointly
     dim: int
     expected: object        # asserted count or None
     counts: tuple           # (prime, count) pairs actually computed
     stable: bool
     refusal: str = None
+    distinct: bool = None
 
     @property
     def count(self):
@@ -513,10 +514,10 @@ def named_components(table, parts):
 
 
 def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
-               state_budget=DEFAULT_STATE_BUDGET,
-               convention="extraspecial") -> CaseBound:
+               state_budget=DEFAULT_STATE_BUDGET) -> CaseBound:
     """Orbit counts per grouping and their product, checked over at least
-    two admissible primes."""
+    two admissible primes.  A grouping's recorded representatives are
+    checked on the closure that counted it at each prime."""
     rs = build(parse_type(str(rstype)))
     if order not in valid_orders(rs):
         raise NilOrbitError(f"order {order} is not a valid order for {rs.rstype}")
@@ -524,33 +525,39 @@ def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         primes = admissible_primes(order)
     if len(primes) < 2:
         raise NilOrbitError("stability needs at least two primes")
-    sc = _constants(rs.rstype, convention)
+    sc = structure_constants(rs.rstype)
     nm = build_nqs(rs, standard_point(rs, order))
     table = cases.case_table(rs.rstype, order)
     named = named_components(table, decompose(nm, sc))
 
     if table is not None and table.detailed:
-        plan = [(g.modules, [named[name] for name in g.modules], g.orbits)
+        plan = [(g.modules, [named[name] for name in g.modules], g.orbits,
+                 [tuple(table.root(lbl) for lbl in rep)
+                  for rep in g.representatives or ()])
                 for g in table.groupings]
     else:
-        plan = [((name,), [sub], None) for name, sub in named.items()]
+        plan = [((name,), [sub], None, []) for name, sub in named.items()]
 
     groups = []
-    for names, subs, expected in plan:
+    for names, subs, expected, reps in plan:
         dim = sum(s.dim for s in subs)
         counts = []
         refusal = None
+        distinct = True if reps else None   # None skips the check below
         for p in primes:
             try:
-                oc = orbit_count_ff(nm, subs, p, sc=sc, cap=cap,
-                                    state_budget=state_budget)
+                closure = orbit_count_ff(nm, subs, p, sc=sc, cap=cap,
+                                         state_budget=state_budget)
             except NilOrbitError as err:
                 refusal = str(err)
                 break
-            counts.append((p, oc.count))
+            counts.append((p, closure.count))
+            distinct = distinct and representatives_distinct(closure, reps)
+            # the next prime's closure is built only after this one is freed
+            del closure
         stable = len({c for _, c in counts}) <= 1 and refusal is None
         groups.append(GroupCount(tuple(names), dim, expected, tuple(counts),
-                                 stable, refusal))
+                                 stable, refusal, distinct))
 
     product = None
     if all(g.refusal is None for g in groups):
@@ -566,8 +573,7 @@ def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
 def _corrections_by_record(case, table):
     """Sort the case's correction entries under the record each one
     annotates, each as a where/recorded/corrected/note dict."""
-    out = {"generators": [], "q-roots": [], "decomposition": [],
-           "orbit-counts": [], "bound": []}
+    out = {name: [] for name, _ in CASE_RECORDS}
     for corr in cases.corrections_for(case):
         where = corr.where
         corr = {"where": where, "recorded": corr.recorded,
@@ -602,10 +608,11 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
     table = cases.case_table(rs.rstype, order)
     case = table.case_id if table else f"{rs.rstype}.o{order}"
     notes = _corrections_by_record(case, table)
+    anchors = dict(CASE_RECORDS)
 
-    def record(name, anchor, statement, expected, computed, status):
+    def record(name, statement, expected, computed, status):
         return report.make_record(
-            "nilorbits", case, name, f"case table {case}: {anchor}",
+            "nilorbits", case, name, f"case table {case}: {anchors[name]}",
             statement, expected, computed, status, notes[name])
 
     try:
@@ -614,7 +621,7 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
     except ComponentMismatch as e:
         # the orbit counts are named by the recorded modules, so nothing
         # past the decomposition can be checked
-        return [record("decomposition", "submodule supports",
+        return [record("decomposition",
                        f"bracket-graph components match the recorded "
                        f"submodules; {e}", e.expected, e.computed, "fail")]
     nm = bound.module
@@ -625,7 +632,7 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         want = table.expected_generators()
         pos_gens = frozenset(r for r in nm.unipotent_generators if sum(r) > 0)
         records.append(record(
-            "generators", "generator roots",
+            "generators",
             "positive exponent-zero roots match the recorded generator list",
             sorted(want), sorted(pos_gens),
             "pass" if want == pos_gens else "fail"))
@@ -633,7 +640,7 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         simples = set(rs.simples)
         nonsimple = frozenset(r for r in nm.basis_roots if r not in simples)
         records.append(record(
-            "q-roots", "exponent-one roots",
+            "q-roots",
             "non-simple exponent-one roots match the recorded list",
             sorted(want), sorted(nonsimple),
             "pass" if want == nonsimple else "fail"))
@@ -641,16 +648,14 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         got_supports = {frozenset(s.support) for s in bound.components.values()}
         sizes = sorted(len(s) for s in got_supports)
         records.append(record(
-            "decomposition", "submodule supports",
+            "decomposition",
             "bracket-graph components match the recorded submodules",
             sorted(sorted(len(s) for s in want_supports)), sizes,
             "pass" if want_supports == got_supports else "fail"))
     else:
         note = f"no detailed lists on record for {case}"
-        for name, anchor in (("generators", "generator roots"),
-                             ("q-roots", "exponent-one roots"),
-                             ("decomposition", "submodule supports")):
-            records.append(record(name, anchor, note, None, None, "skipped"))
+        for name, _ in CASE_RECORDS[:3]:
+            records.append(record(name, note, None, None, "skipped"))
 
     per_group = []
     asserted = True
@@ -667,26 +672,20 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
             ok = False
     reps_note = None
     if detailed and ok and asserted:
-        for grouping in table.groupings:
-            if not grouping.representatives:
+        for grouping, g in zip(table.groupings, bound.groups):
+            if g.distinct is None:
                 continue
-            reps = [tuple(table.root(lbl) for lbl in rep)
-                    for rep in grouping.representatives]
-            subs = [bound.components[name] for name in grouping.modules]
-            distinct = all(
-                representatives_distinct(nm, subs, reps, p, cap=cap,
-                                         state_budget=state_budget)
-                for p in (primes or admissible_primes(order)))
-            reps_note = (f"{len(reps)} recorded representatives lie in "
-                         f"pairwise distinct orbits: {distinct}")
-            if not distinct:
+            reps_note = (f"{len(grouping.representatives)} recorded "
+                         f"representatives lie in pairwise distinct orbits: "
+                         f"{g.distinct}")
+            if not g.distinct:
                 ok = False
     status = ("pass" if ok else "fail") if asserted else "informational"
     statement = "per-group orbit counts match the recorded counts"
     if reps_note:
         statement += f"; {reps_note}"
     records.append(record(
-        "orbit-counts", "orbit counts", statement,
+        "orbit-counts", statement,
         [g.expected for g in bound.groups], per_group, status))
 
     if bound.expected is None:
@@ -698,7 +697,7 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
     else:
         status = "pass" if bound.product == bound.expected else "fail"
     records.append(record(
-        "bound", "orbit-count bound",
+        "bound",
         {"product": "product of group counts equals the recorded bound",
          "exact": "product of group counts equals the recorded total",
          "at-least": "product of group counts reaches the recorded bound",

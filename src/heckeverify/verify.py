@@ -335,11 +335,7 @@ def unit_orbit_case(name, order, prime_bound, dim_cap, state_budget):
         return [report.make_record(
             "nilorbits", case, nm, f"case table {case}: {label}",
             str(e), None, None, "skipped")
-            for nm, label in (("generators", "generator roots"),
-                              ("q-roots", "exponent-one roots"),
-                              ("decomposition", "submodule supports"),
-                              ("orbit-counts", "orbit counts"),
-                              ("bound", "orbit-count bound"))]
+            for nm, label in nilorbits.CASE_RECORDS]
     return nilorbits.verify_case(name, order, primes=primes, cap=dim_cap,
                                  state_budget=state_budget)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,8 +156,10 @@ def test_counts_are_sign_convention_independent():
     rs, nm = nil("E7", 11)
     parts = decompose(nm)
     for p in parts:
-        a = orbit_count_ff(nm, [p], 23, convention="extraspecial")
-        b = orbit_count_ff(nm, [p], 23, convention="twisted")
+        a = orbit_count_ff(nm, [p], 23,
+                           sc=structure_constants(rs.rstype, "extraspecial"))
+        b = orbit_count_ff(nm, [p], 23,
+                           sc=structure_constants(rs.rstype, "twisted"))
         assert a.count == b.count
 
 
@@ -218,8 +222,9 @@ def test_representatives_distinct_detects_collisions():
     parts = decompose(nm)
     single = next(p for p in parts if p.dim == 1)
     line = single.support[0]
-    assert representatives_distinct(nm, [single], [(), (line,)], 29)
-    assert not representatives_distinct(nm, [single], [(line,), (line,)], 29)
+    closure = orbit_count_ff(nm, [single], 29)
+    assert representatives_distinct(closure, [(), (line,)])
+    assert not representatives_distinct(closure, [(line,), (line,)])
 
 
 # --- orbit closure against a union-find oracle -------------------------------
@@ -263,8 +268,9 @@ def closure_of(rstype, order, p, modules):
     rs, nm = nil(rstype, order)
     table = case_table(rstype, order)
     comp = {frozenset(sub.support): sub for sub in decompose(nm)}
-    return no._closure_for(
-        nm, [comp[table.module_support(name)] for name in modules], p)
+    return no._Closure(
+        nm, no._support_roots([comp[table.module_support(name)]
+                               for name in modules]), p)
 
 
 @pytest.mark.parametrize("rstype,order,p,modules,states", [
@@ -358,6 +364,31 @@ def test_verify_case_e8_o16_passes_with_corrections_attached():
     bound = recs[-1]
     assert bound["expected"] == 147 and bound["computed"] == 147
     assert bound["corrections"]
+
+
+def test_verify_case_fails_on_colliding_representatives(monkeypatch):
+    # the eight representatives as recorded, two of which share an orbit
+    table = case_table("E8", 16)
+    first = replace(table.groupings[0], representatives=(
+        (), ("a1",), ("a3",), ("a3", "a8"), ("a1", "a3"),
+        ("a1", "a3", "a8"), ("a1", "-e2"), ("a1", "a3", "-e2")))
+    patched = replace(table, groupings=(first,) + table.groupings[1:])
+    monkeypatch.setattr(no.cases, "case_table", lambda *args: patched)
+    runs = []
+    run = no._Closure.run
+
+    def counted_run(self):
+        runs.append(self.p)
+        return run(self)
+
+    monkeypatch.setattr(no._Closure, "run", counted_run)
+    recs = verify_case("E8", 16)
+    counts = next(r for r in recs if r["claim_id"].endswith("orbit-counts"))
+    assert "8 recorded representatives" in counts["statement"]
+    assert "distinct orbits: False" in counts["statement"]
+    assert counts["status"] == "fail"
+    # three groupings at two primes, each counted by one closure
+    assert len(runs) == 6
 
 
 def test_verify_case_e8_o11_reports_informationally():
