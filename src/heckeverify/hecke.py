@@ -123,7 +123,6 @@ L_ONE = Laurent({0: 1})
 L_Q = Laurent({2: 1})
 L_QINV = Laurent({-2: 1})
 L_QM1 = Laurent({2: 1, 0: -1})          # q - 1
-L_QINV_M1 = Laurent({-2: 1, 0: -1})     # q^-1 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +137,11 @@ class ExtAffine:
     x: tuple
 
     def __mul__(self, o: "ExtAffine") -> "ExtAffine":
-        # (w, x)(w', x') = (ww', w'^{-1}(x) + x')
-        pre = _weight_preimage(o.w, self.x)
+        # (w, x)(w', x') = (ww', w'^{-1}(x) + x'), where
+        # <w'^{-1}(x), a_j^vee> = <x, w'(a_j)^vee>
+        rs, perm, x = o.w.rs, o.w.perm, self.x
+        pre = (sum(a * c for a, c in zip(x, rs.coroots[perm[rs.index[s]]]))
+               for s in rs.simples)
         return ExtAffine(self.w * o.w, tuple(a + b for a, b in zip(pre, o.x)))
 
     def inverse(self) -> "ExtAffine":
@@ -148,20 +150,6 @@ class ExtAffine:
 
     def is_identity(self) -> bool:
         return self.w.is_identity() and not any(self.x)
-
-
-def _weight_preimage(w: WeylElement, x):
-    """w^{-1}(x) in weight coordinates, via <w^{-1}x, a_j^> = <x, w(a_j)^>."""
-    rs = w.rs
-    cr = _coroot_rows(rs.rstype)
-    return tuple(sum(a * c for a, c in zip(x, cr[w.images[j]]))
-                 for j in range(rs.rank))
-
-
-@lru_cache(maxsize=None)
-def _coroot_rows(rstype):
-    rs = build(rstype)
-    return {r: rs.coroot_coords(r) for r in rs.all_roots}
 
 
 def ext_identity(rs) -> ExtAffine:
@@ -174,24 +162,21 @@ def ext_translation(rs, x) -> ExtAffine:
 
 def _length(elem: ExtAffine) -> int:
     """Sum over positive roots of |<x,a^>+1| or |<x,a^>| by the sign of w(a)."""
-    rs = elem.w.rs
-    cr = _coroot_rows(rs.rstype)
+    rs, perm, x = elem.w.rs, elem.w.perm, elem.x
+    npos = len(rs.positive_roots)
     tot = 0
-    for a in rs.positive_roots:
-        img = elem.w.apply_root(a)
-        pair = sum(xi * ci for xi, ci in zip(elem.x, cr[a]))
-        if any(c < 0 for c in img):
-            tot += abs(pair + 1)
-        else:
-            tot += abs(pair)
+    for k in range(npos):
+        pair = sum(a * c for a, c in zip(x, rs.coroots[k]))
+        tot += abs(pair + 1) if perm[k] >= npos else abs(pair)
     return tot
 
 
 class _Interned:
     """The extended-affine elements of one type met so far, as integer ids.
 
-    Weyl elements compare by their images alone, so same-rank elements of
-    different root systems can collide; each type has its own table.
+    Weyl elements compare by their root permutations alone, so elements of
+    different root systems with as many roots can collide; each type has
+    its own table.
     elems[k] is the element with id k and lengths[k] its length.
     steps[left][i][k] packs the product with generator r_i on that side as
     (neighbor id << 1 | length went up); -1 until first asked for."""
@@ -300,7 +285,7 @@ def affine_generators(rstype):
     for j in range(rs.rank):
         gens.append(ExtAffine(WeylElement.simple(rs, j), zero))
     beta = highest_short_root(rs)
-    cb = rs.coroot_coords(beta)
+    cb = rs.coroots[rs.index[beta]]
     images = []
     for j in range(rs.rank):
         k = sum(cb[i] * rs.cartan[j][i] for i in range(rs.rank))
@@ -323,13 +308,14 @@ def omega_group(rstype):
     them.  The count must equal the Cartan determinant."""
     rs = build(rstype)
     target = rs.center_order()
+    npos = len(rs.positive_roots)
     out = [ext_identity(rs)]
     if target > 1:
         for w in enumerate_group(rs):
             if w.is_identity():
                 continue
-            x = tuple(0 if all(c >= 0 for c in w.images[j]) else -1
-                      for j in range(rs.rank))
+            x = tuple(0 if w.perm[rs.index[a]] < npos else -1
+                      for a in rs.simples)
             e = ExtAffine(w, x)
             if length(e) == 0:
                 out.append(e)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -389,9 +389,15 @@ class RootSystem:
             out.append(int(c))
         return tuple(out)
 
+    @cached_property
+    def coroots(self):
+        """coroots[k] = coroot_coords(all_roots[k]): the one coroot table,
+        built on first use."""
+        return tuple(self.coroot_coords(r) for r in self.all_roots)
+
     def coroot_pairing(self, x_weight_coords, root) -> Fraction:
         """<x, root^vee> for x given in fundamental-weight coordinates."""
-        cr = self.coroot_coords(root)
+        cr = self.coroots[self.index[tuple(root)]]
         return sum(Fraction(a) * b for a, b in zip(x_weight_coords, cr))
 
     def exponents(self):

@@ -27,7 +27,7 @@ import numpy as np
 from . import report
 from .rootsystem import RootSystem, RootSystemType, build, components
 from .weyl import (
-    _ROW_CHUNK, DEFAULT_BUDGET, WeylBudgetError, _gather_tables, enumerate_group,
+    _ROW_CHUNK, DEFAULT_BUDGET, WeylBudgetError, enumerate_group,
     poincare_vanishes, valid_orders)
 
 __all__ = [
@@ -265,12 +265,10 @@ def centralizer_signature(rs: RootSystem, s: TorusPoint) -> SubsystemSignature:
     if not roots:
         return SubsystemSignature(())
     # components of the non-orthogonality graph are the irreducible pieces
-    corow = {r: rs.coroot_coords(r) for r in roots}
-
     def linked(a, b):
         # <a, b^vee> != 0 iff (a,b) != 0
-        return sum(ca * sum(rs.cartan[k][l] * corow[b][l]
-                            for l in range(rs.rank))
+        cb = rs.coroots[rs.index[b]]
+        return sum(ca * sum(rs.cartan[k][l] * cb[l] for l in range(rs.rank))
                    for k, ca in enumerate(a) if ca) != 0
 
     edges = [(i, j) for i in range(len(roots))
@@ -311,7 +309,7 @@ def _least_images(rs: RootSystem, points, budget):
     coroot(w(a_k)), gathered from the per-type coroot table, a chunk of
     rows at a time; images compare lexicographically."""
     group = enumerate_group(rs, budget)
-    coroots = _gather_tables(rs.rstype)[3]
+    coroots = np.array(rs.coroots, dtype=np.int64)
     m, n = points[0].order, rs.rank
     d = lcm(*(c.denominator for p in points for c in p.vq + p.tor))
     out = []

@@ -5,9 +5,11 @@ indices (w(alpha_1), ..., w(alpha_n)) of element i; this scales to a few
 million elements.  Sweeps over the group work on row indices alone:
 conjugation by a simple reflection is one table of rows built by integer
 gathers, and the conjugacy classes are the connected components of those
-tables.  WeylElement is the exact object behind one row, for code that
-composes, inverts and factors single elements (the extended affine group
-in hecke).
+tables.  A single element, for code that composes, inverts and factors
+elements one at a time (the extended affine group in hecke), is a
+WeylElement: the permutation of all root indices that a row's simple-root
+images determine, so that composing is a gather and inverting is
+inverting a permutation.
 
 The enumeration walks the descent tree (Casselman, "Machine calculations
 in Weyl groups", Invent. Math. 116, 1994): every w != 1 has a least right
@@ -19,14 +21,12 @@ exactly once, at depth equal to its Coxeter length, with no dedupe.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .partitions import p, ordered_pairs, typeD_count
-from .rootsystem import (
-    RootSystem, _invert_fraction_matrix, build, component_labels)
+from .rootsystem import RootSystem, build, component_labels
 
 __all__ = [
     "WeylBudgetError", "WeylElement", "GroupEnumeration", "enumerate_group",
@@ -46,27 +46,37 @@ class WeylBudgetError(RuntimeError):
 
 
 class WeylElement:
-    """A Weyl group element, stored as the images of the simple roots.
+    """A Weyl group element w, stored as a permutation of root indices:
+    perm[r] is the index in rs.all_roots of w(root r).
 
-    Composition is exact integer arithmetic.  (u * v) means "apply v
-    first": (u * v)(x) = u(v(x)).
+    (u * v) means "apply v first": (u * v)(x) = u(v(x)), so the product
+    is one gather, u.perm[v.perm[r]].  The constructor takes the images
+    of the simple roots as coordinate tuples, which .images gives back.
     """
 
-    __slots__ = ("rs", "images", "_inv_images", "_hash")
+    __slots__ = ("rs", "perm", "_hash")
 
     def __init__(self, rs: RootSystem, images):
+        # w(root r) = sum_i r_i w(alpha_i): row r of (roots @ images)
+        coords = _root_matrix(rs.rstype) @ np.array(images, dtype=np.int64)
         self.rs = rs
-        self.images = tuple(tuple(r) for r in images)
-        self._inv_images = None
+        self.perm = tuple(map(rs.index.__getitem__, map(tuple, coords.tolist())))
         self._hash = None
 
     @classmethod
+    def _of(cls, rs: RootSystem, perm) -> "WeylElement":
+        out = cls.__new__(cls)
+        out.rs, out.perm, out._hash = rs, perm, None
+        return out
+
+    @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
-        return cls(rs, rs.simples)
+        return cls._of(rs, tuple(range(len(rs.all_roots))))
 
     @classmethod
     def simple(cls, rs: RootSystem, j: int) -> "WeylElement":
-        return cls(rs, [rs.reflect(a, j) for a in rs.simples])
+        return cls._of(rs, tuple(rs.index[rs.reflect(a, j)]
+                                 for a in rs.all_roots))
 
     @classmethod
     def from_word(cls, rs: RootSystem, word) -> "WeylElement":
@@ -75,82 +85,56 @@ class WeylElement:
             out = out * cls.simple(rs, j)
         return out
 
-    def apply_root(self, coords):
-        n = self.rs.rank
-        out = [0] * n
-        for i, c in enumerate(coords):
-            if c:
-                img = self.images[i]
-                for k in range(n):
-                    out[k] += c * img[k]
-        return tuple(out)
+    @property
+    def images(self):
+        """The coordinate tuples of w(alpha_1), ..., w(alpha_n)."""
+        return tuple(self.apply_root(a) for a in self.rs.simples)
+
+    def apply_root(self, root):
+        rs = self.rs
+        return rs.all_roots[self.perm[rs.index[tuple(root)]]]
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.rs, [self.apply_root(r) for r in other.images])
-
-    def mul_simple(self, j: int) -> "WeylElement":
-        """Right multiplication w * s_j without building s_j."""
-        rs = self.rs
-        imgs = list(self.images)
-        for i in range(rs.rank):
-            k = rs.cartan[i][j]
-            if k:
-                imgs[i] = tuple(a - k * b for a, b in zip(imgs[i], self.images[j]))
-        return WeylElement(rs, imgs)
-
-    def _inverse_images(self):
-        if self._inv_images is None:
-            n = self.rs.rank
-            mat = [[Fraction(self.images[j][i]) for j in range(n)] for i in range(n)]
-            inv = _invert_fraction_matrix(mat)
-            cols = []
-            for j in range(n):
-                col = tuple(int(inv[i][j]) for i in range(n))
-                cols.append(col)
-            self._inv_images = tuple(cols)
-        return self._inv_images
+        return WeylElement._of(self.rs, tuple(map(self.perm.__getitem__,
+                                                  other.perm)))
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.rs, self._inverse_images())
+        inv = [0] * len(self.perm)
+        for r, s in enumerate(self.perm):
+            inv[s] = r
+        return WeylElement._of(self.rs, tuple(inv))
 
     def apply_weight(self, x):
         """Action on a vector in fundamental-weight coordinates.
 
-        <w(x), alpha_j^vee> = <x, w^{-1}(alpha_j)^vee>, so the result stays
-        exact (integers in, integers out)."""
-        inv = self._inverse_images()
-        out = []
-        for j in range(self.rs.rank):
-            val = self.rs.coroot_pairing(x, inv[j])
-            out.append(int(val) if val.denominator == 1 else val)
-        return tuple(out)
+        <w(x), alpha_j^vee> = <x, w^{-1}(alpha_j)^vee>: a dot product with
+        a row of the coroot table (integers in, integers out)."""
+        rs = self.rs
+        inv = self.inverse().perm
+        return tuple(sum(a * c for a, c in zip(x, rs.coroots[inv[rs.index[s]]]))
+                     for s in rs.simples)
 
     def is_identity(self) -> bool:
-        return self.images == tuple(self.rs.simples)
+        return self.perm == tuple(range(len(self.perm)))
 
     def length(self) -> int:
-        count = 0
-        for r in self.rs.positive_roots:
-            img = self.apply_root(r)
-            if any(c < 0 for c in img):
-                count += 1
-        return count
+        """The number of positive roots sent to negative ones."""
+        npos = len(self.rs.positive_roots)
+        return sum(1 for s in self.perm[:npos] if s >= npos)
 
     def word(self):
-        """A reduced word (list of simple-reflection indices)."""
+        """A reduced word (list of simple-reflection indices): peel off the
+        least right descent, once per unit of length."""
+        rs = self.rs
+        npos = len(rs.positive_roots)
         w = self
         tail = []
-        while True:
-            desc = None
-            for j in range(self.rs.rank):
-                if any(c < 0 for c in w.images[j]):
-                    desc = j
-                    break
-            if desc is None:
-                break
-            tail.append(desc)
-            w = w.mul_simple(desc)
-        return list(reversed(tail))
+        for _ in range(self.length()):
+            j = next(j for j, a in enumerate(rs.simples)
+                     if w.perm[rs.index[a]] >= npos)
+            tail.append(j)
+            w = w * WeylElement.simple(rs, j)
+        return tail[::-1]
 
     def order(self) -> int:
         w = self
@@ -162,15 +146,21 @@ class WeylElement:
         return k
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.images == other.images
+        return isinstance(other, WeylElement) and self.perm == other.perm
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.images)
+            self._hash = hash(self.perm)
         return self._hash
 
     def __repr__(self):
         return f"WeylElement({self.rs.rstype}, word={self.word()})"
+
+
+@lru_cache(maxsize=None)
+def _root_matrix(rstype):
+    """rs.all_roots as an int64 array, one row per root."""
+    return np.array(build(rstype).all_roots, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +285,10 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_divexact(num, den):
-    """Exact division of integer polynomials; asserts zero remainder."""
+def _poly_divmod(num, den):
+    """Long division of integer polynomials: (quotient, remainder).  Every
+    quotient coefficient must be an integer; the remainder keeps num's
+    length, zero above the divisor's degree."""
     num = list(num)
     dd = len(den) - 1
     lead = den[-1]
@@ -310,25 +302,7 @@ def _poly_divexact(num, den):
         out[i - dd] = q
         for k, y in enumerate(den):
             num[i - dd + k] -= q * y
-    assert not any(num), "division was not exact"
-    return out
-
-
-def _poly_mod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        assert c % lead == 0
-        q = c // lead
-        for k, y in enumerate(den):
-            num[i - dd + k] -= q * y
-    while num and num[-1] == 0:
-        num.pop()
-    return num
+    return out, num
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +311,8 @@ def cyclotomic(m: int):
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _poly_divexact(poly, cyclotomic(d))
+            poly, rem = _poly_divmod(poly, cyclotomic(d))
+            assert not any(rem), "division was not exact"
     return tuple(poly)
 
 
@@ -369,7 +344,7 @@ def poincare_vanishes(rs: RootSystem, m) -> bool:
 
 @lru_cache(maxsize=None)
 def _vanishes(degrees, m):
-    return not _poly_mod(list(_poincare(degrees)), list(cyclotomic(m)))
+    return not any(_poly_divmod(_poincare(degrees), cyclotomic(m))[1])
 
 
 def vanishes_by_degrees(rs: RootSystem, m) -> bool:
@@ -413,14 +388,13 @@ def _gather_tables(rstype):
 
     comb[k][r, s] is the index of root r + k*s, or -1 when that is not a
     root, for each k = -C_ij over the nonzero off-diagonal Cartan entries;
-    neg[r] is the index of -r; refl[j][r] the index of s_j(r); coroots[r]
-    the coordinates of r^vee over the simple coroots."""
+    neg[r] is the index of -r; refl[j] is the permutation of s_j."""
     rs = build(rstype)
     ks = {-c for i, row in enumerate(rs.cartan) for j, c in enumerate(row)
           if i != j and c}
     # vectors are looked up by an integer key over a box that holds every
     # r + k*s; the roots' keys are sorted once
-    roots = np.array(rs.all_roots, dtype=np.int64)
+    roots = _root_matrix(rstype)
     off = (1 + max(ks, default=0)) * int(roots.max())
     powers = (2 * off + 1) ** np.arange(rs.rank, dtype=np.int64)
     assert (2 * off + 1) ** rs.rank < 2 ** 62
@@ -435,11 +409,9 @@ def _gather_tables(rstype):
                            -1).astype(np.int16)
     neg = np.array([rs.index[tuple(-x for x in a)] for a in rs.all_roots],
                    dtype=np.int16)
-    refl = np.array([[rs.index[rs.reflect(a, j)] for a in rs.all_roots]
-                     for j in range(rs.rank)], dtype=np.int16)
-    coroots = np.array([rs.coroot_coords(a) for a in rs.all_roots],
-                       dtype=np.int64)
-    return comb, neg, refl, coroots
+    refl = np.array([WeylElement.simple(rs, j).perm for j in range(rs.rank)],
+                    dtype=np.int16)
+    return comb, neg, refl
 
 
 def _right_mul(rs: RootSystem, x, j: int):
@@ -447,7 +419,7 @@ def _right_mul(rs: RootSystem, x, j: int):
 
     x s_j sends a_i to x(a_i) - C_ij x(a_j): one gather in a root
     combination table per Cartan entry (the negation table for i = j)."""
-    comb, neg, _, _ = _gather_tables(rs.rstype)
+    comb, neg, _ = _gather_tables(rs.rstype)
     z = x.copy()
     for i in range(rs.rank):
         c = rs.cartan[i][j]

@@ -191,8 +191,9 @@ def test_cached_norms_equal_the_form(t):
 def test_coroot_coords_integral_and_dual():
     for t in ["B3", "C3", "F4", "G2", "E6"]:
         rs = build(parse_type(t))
-        for r in rs.all_roots:
+        for k, r in enumerate(rs.all_roots):
             cr = rs.coroot_coords(r)
+            assert rs.coroots[k] == cr
             # <r, r^vee> = 2
             pair = sum(c * rs.pairing(r, i) for i, c in enumerate(cr))
             assert pair == 2

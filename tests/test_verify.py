@@ -10,7 +10,8 @@ turns a case into skipped records rather than failures.  A unit that
 raises, or a report that fails its lint, must still leave every record.
 The plan-coverage tests at the end run every `*.regular` unit through
 `verify_all`, and the slow-marked full run (`pytest -m slow`) runs every
-plan entry once and pins the default report's sha256.
+plan entry, serially and with two jobs, and pins the default report's
+sha256 both ways.
 """
 
 import dataclasses
@@ -242,9 +243,12 @@ FULL_REPORT_SHA256 = \
     "2c1fdbd8deb22d7e379b31fd2fa3b9beb428b00333266d24d63b925bc36476f1"
 
 
+# --jobs 2 first, so that its workers start from cold caches and the
+# serial run after it finds only what the pre-fork warm-up cached
 @pytest.mark.slow
-def test_full_report_is_pinned():
-    rep = verify_all(RunConfig(jobs=2))
+@pytest.mark.parametrize("jobs", [2, 1])
+def test_full_report_is_pinned(jobs):
+    rep = verify_all(RunConfig(jobs=jobs))
     assert len(rep.records) == 382
     assert hashlib.sha256(report.emit(rep.records)).hexdigest() == \
         FULL_REPORT_SHA256

@@ -8,12 +8,13 @@ formulas against vectorized conjugacy-class sweeps.
 
 import cmath
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heckeverify import weyl
-from heckeverify.rootsystem import parse_type, build
+from heckeverify.rootsystem import parse_type, build, _invert_fraction_matrix
 from heckeverify.weyl import (
     WeylBudgetError, WeylElement, enumerate_group, poincare,
     poincare_vanishes, vanishes_by_degrees, valid_orders, irr_count,
@@ -282,14 +283,12 @@ def test_a4_class_sizes():
 def test_root_combination_tables_match_a_loop(name):
     # the vectorised key lookup against the plain dict lookup it replaced
     rs = rs_of(name)
-    comb, _, _, coroots = weyl._gather_tables(rs.rstype)
+    comb, _, _ = weyl._gather_tables(rs.rstype)
     for k, table in comb.items():
         for r, a in enumerate(rs.all_roots):
             for s, b in enumerate(rs.all_roots):
                 got = rs.index.get(tuple(x + k * y for x, y in zip(a, b)), -1)
                 assert table[r, s] == got, (name, k, a, b)
-    assert coroots.tolist() == [list(rs.coroot_coords(a))
-                                for a in rs.all_roots]
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2"])
@@ -307,6 +306,106 @@ def test_conjugation_tables_match_exact_conjugation(name):
 
 # ---------------------------------------------------------------------------
 # exact elements
+
+
+class CoordElement:
+    """The coordinate form WeylElement replaced, kept as the oracle: the
+    images of the simple roots as coordinate tuples, composed by linear
+    combination and inverted by exact Gauss-Jordan elimination."""
+
+    def __init__(self, rs, images):
+        self.rs = rs
+        self.images = tuple(tuple(r) for r in images)
+
+    @classmethod
+    def simple(cls, rs, j):
+        return cls(rs, [rs.reflect(a, j) for a in rs.simples])
+
+    @classmethod
+    def from_word(cls, rs, word):
+        out = cls(rs, rs.simples)
+        for j in word:
+            out = out * cls.simple(rs, j)
+        return out
+
+    def apply_root(self, coords):
+        n = self.rs.rank
+        out = [0] * n
+        for i, c in enumerate(coords):
+            for k in range(n):
+                out[k] += c * self.images[i][k]
+        return tuple(out)
+
+    def __mul__(self, other):
+        return CoordElement(self.rs, [self.apply_root(r) for r in other.images])
+
+    def mul_simple(self, j):
+        imgs = list(self.images)
+        for i in range(self.rs.rank):
+            k = self.rs.cartan[i][j]
+            if k:
+                imgs[i] = tuple(a - k * b
+                                for a, b in zip(imgs[i], self.images[j]))
+        return CoordElement(self.rs, imgs)
+
+    def inverse(self):
+        n = self.rs.rank
+        inv = _invert_fraction_matrix(
+            [[Fraction(self.images[j][i]) for j in range(n)] for i in range(n)])
+        return CoordElement(self.rs, [[int(inv[i][j]) for i in range(n)]
+                                      for j in range(n)])
+
+    def apply_weight(self, x):
+        inv = self.inverse().images
+        return tuple(sum(a * c for a, c in zip(x, self.rs.coroot_coords(r)))
+                     for r in inv)
+
+    def length(self):
+        return sum(1 for r in self.rs.positive_roots
+                   if any(c < 0 for c in self.apply_root(r)))
+
+    def word(self):
+        w, tail = self, []
+        while True:
+            desc = next((j for j in range(self.rs.rank)
+                         if any(c < 0 for c in w.images[j])), None)
+            if desc is None:
+                return list(reversed(tail))
+            tail.append(desc)
+            w = w.mul_simple(desc)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_permutation_elements_match_the_coordinate_oracle(name):
+    rs = rs_of(name)
+    rng = random.Random(20261018)
+
+    def pair():
+        word = [rng.randrange(rs.rank) for _ in range(rng.randrange(16))]
+        return WeylElement.from_word(rs, word), CoordElement.from_word(rs, word)
+
+    for _ in range(12):
+        (u, cu), (v, cv) = pair(), pair()
+        assert u.images == cu.images
+        assert WeylElement(rs, cu.images) == u
+        assert (u * v).images == (cu * cv).images
+        assert (v * u).images == (cv * cu).images
+        assert u.inverse().images == cu.inverse().images
+        for r in rs.all_roots:
+            assert u.apply_root(r) == cu.apply_root(r)
+        for _ in range(4):
+            x = tuple(rng.randrange(-3, 4) for _ in range(rs.rank))
+            assert u.apply_weight(x) == cu.apply_weight(x)
+        assert u.length() == cu.length()
+        assert u.word() == cu.word()
+
+
+@pytest.mark.parametrize("name", ["B3", "G2"])
+def test_group_rows_are_the_elements_simple_images(name):
+    rs = rs_of(name)
+    g = enumerate_group(rs)
+    for i in range(len(g)):
+        assert [rs.index[r] for r in g.element(i).images] == g.perms[i].tolist()
 
 
 def test_word_roundtrip():
