@@ -395,11 +395,6 @@ class RootSystem:
         built on first use."""
         return tuple(self.coroot_coords(r) for r in self.all_roots)
 
-    def coroot_pairing(self, x_weight_coords, root) -> Fraction:
-        """<x, root^vee> for x given in fundamental-weight coordinates."""
-        cr = self.coroots[self.index[tuple(root)]]
-        return sum(Fraction(a) * b for a, b in zip(x_weight_coords, cr))
-
     def exponents(self):
         return tuple(d - 1 for d in self.degrees)
 

@@ -177,6 +177,14 @@ def test_hecke_rank_cap(capsys):
     assert rc == 2 and "rank" in err
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_hecke_ball_radius_must_be_positive(capsys, radius):
+    rc, out, err = run(capsys, "hecke", "--type", "A2", "--check", "theta",
+                       "--radius", radius)
+    assert rc == 2 and "radius" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 

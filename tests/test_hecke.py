@@ -12,9 +12,11 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from heckeverify import hecke
 from heckeverify.rootsystem import parse_type, build
 from heckeverify.weyl import WeylElement, enumerate_group
 from heckeverify.hecke import (
@@ -111,7 +113,10 @@ def test_conjugating_translation_moves_the_weight():
 
 
 def translation_length_oracle(rs, x):
-    return sum(abs(rs.coroot_pairing(x, a)) for a in rs.positive_roots)
+    """sum over positive roots a of |<x, a^vee>|, with x in fundamental-weight
+    coordinates and a^vee from coroot_coords (not the cached coroot table)."""
+    return sum(abs(sum(p * c for p, c in zip(x, rs.coroot_coords(a))))
+               for a in rs.positive_roots)
 
 
 def test_length_of_identity_and_generators():
@@ -528,3 +533,73 @@ def test_bernstein_ball(name):
     for r in records:
         assert r["status"] == "pass", r
         assert r["computed"] == {"failures": 0}
+
+
+@pytest.mark.parametrize("radius", [0, -1, 1.5, True])
+def test_bernstein_ball_needs_a_positive_integer_radius(radius):
+    with pytest.raises(HeckeError, match="radius"):
+        verify_bernstein("A2", radius)
+
+
+def ball_product_keys(rs, radius):
+    """The (x, shift) of theta_x T_{t_shift} behind each ordered pair (x, y)
+    the theta-products check compares: shift = y_y + zc - z_y, where zc is
+    the coordinatewise max of z_y and z_{x+y}."""
+    ball = hecke._ball(rs.rank, radius)
+    keys = {}
+    for x in ball:
+        for y in ball:
+            _, zs = hecke._theta_parts(rs, tuple(a + b for a, b in zip(x, y)))
+            yy, zy = hecke._theta_parts(rs, y)
+            zc = tuple(max(p, q) for p, q in zip(zy, zs))
+            keys[x, y] = (x, tuple(a + b - c for a, b, c in zip(yy, zc, zy)))
+    return keys
+
+
+def test_theta_products_judge_every_pair_sharing_a_product(monkeypatch):
+    hecke._theta_translated.cache_clear()
+    rs = rs_of("A2")
+    keys = ball_product_keys(rs, 2)
+    assert len(keys) == 625
+    # the most shared product: corrupting it must fail every pair behind it
+    shared, behind = Counter(keys.values()).most_common(1)[0]
+    assert behind > 1
+    real = hecke._theta_translated
+
+    def corrupted(rstype, x, shift):
+        out = real(rstype, x, shift)
+        return out + out if (x, shift) == shared else out
+
+    monkeypatch.setattr(hecke, "_theta_translated", corrupted)
+    products = verify_bernstein("A2")[0]
+    assert products["status"] == "fail"
+    assert products["computed"]["failures"] == behind
+    shown = products["computed"]["failing_pairs"]
+    assert len(shown) == min(5, behind)
+    assert all(keys[tuple(x), tuple(y)] == shared for x, y in shown)
+
+
+def test_theta_products_fold_each_distinct_product_once(monkeypatch):
+    hecke._theta_translated.cache_clear()
+    rs = rs_of("A2")
+    for x in hecke._ball(rs.rank, 2):
+        theta(rs, x)   # theta_x has its own cache; its folds are not counted
+    calls = []
+    at_claim = {}
+    real_mul, real_record = hecke.hecke_mul, hecke.report.make_record
+
+    def spy_mul(*args, **kwargs):
+        calls.append(args)
+        return real_mul(*args, **kwargs)
+
+    def spy_record(*args, **kwargs):
+        at_claim.setdefault(args[2], len(calls))
+        return real_record(*args, **kwargs)
+
+    monkeypatch.setattr(hecke, "hecke_mul", spy_mul)
+    monkeypatch.setattr(hecke.report, "make_record", spy_record)
+    records = verify_bernstein("A2")
+    assert all(r["status"] == "pass" for r in records)
+    distinct = set(ball_product_keys(rs, 2).values())
+    assert len(distinct) == 144
+    assert at_claim["theta-products"] == len(distinct)
