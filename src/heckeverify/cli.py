@@ -137,6 +137,7 @@ def cmd_orbits(args):
         rs = build(parse_type(args.type))
         if primes is None:
             primes = nilorbits.admissible_primes(args.order)
+        nilorbits.check_primes(args.order, primes)
         nm = nilorbits.build_nqs(rs, standard_point(rs, args.order))
         table = cases.case_table(rs.rstype, args.order)
         named = nilorbits.named_components(table, nilorbits.decompose(nm))

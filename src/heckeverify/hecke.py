@@ -317,7 +317,8 @@ def omega_group(rstype):
             x = tuple(0 if w.perm[rs.index[a]] < npos else -1
                       for a in rs.simples)
             e = ExtAffine(w, x)
-            if length(e) == 0:
+            # length() would intern every candidate of the finite group
+            if _length(e) == 0:
                 out.append(e)
     if len(out) != target:
         raise HeckeError(

@@ -13,15 +13,13 @@ and the cross-check against the twisted table runs only in the tests.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 
 from . import cases, report
 from .rootsystem import (RootSystem, build, component_labels, components,
-                         parse_type, structure_constants,
-                         _invert_fraction_matrix)
+                         parse_type, smith, structure_constants)
 from .torus import TorusPoint, standard_point, roots_with_exponent
 from .weyl import poincare_vanishes, valid_orders
 
@@ -102,8 +100,9 @@ def decompose(nm: NilModule, sc=None):
 
     Edge beta -- beta+gamma whenever gamma is a generator, beta+gamma is a
     basis root, and the structure constant N(gamma, beta) is nonzero.
-    Components come out ordered by their lexicographically least root."""
-    if sc is None:
+    Components come out ordered by their lexicographically least root.
+    The structure constants are fetched only when there is a generator."""
+    if sc is None and nm.unipotent_generators:
         sc = structure_constants(nm.rs.rstype)
     index = {r: i for i, r in enumerate(nm.basis_roots)}
     edges = []
@@ -134,17 +133,36 @@ def _sieve(limit):
     return [i for i in range(limit + 1) if flags[i]]
 
 
+def _refuse_order(order):
+    if order is None or order < 2:
+        raise NilOrbitError("finite-field counting needs a finite order >= 2")
+
+
 def admissible_primes(order: int, count: int = 2, limit: int = 2000):
     """The smallest primes p = 1 mod order, so the field of p elements
     contains an element of that multiplicative order."""
-    if order is None or order < 2:
-        raise NilOrbitError("finite-field counting needs a finite order >= 2")
+    _refuse_order(order)
     found = [p for p in _sieve(limit) if p > 3 and p % order == 1]
     if len(found) < count:
         raise NilOrbitError(
             f"fewer than {count} admissible primes p = 1 mod {order} "
             f"below {limit}")
     return found[:count]
+
+
+def check_primes(order: int, primes):
+    """Refuse field sizes that admissible_primes would not pick: each must
+    be a prime p > 3 with p = 1 mod order, and a count is called stable
+    only across at least two distinct primes."""
+    _refuse_order(order)
+    for p in primes:
+        if (p <= 3 or p % order != 1
+                or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
+            raise NilOrbitError(
+                f"{p} is not an admissible prime for order {order}: "
+                f"need a prime p > 3 with p = 1 mod {order}")
+    if len(set(primes)) < 2:
+        raise NilOrbitError("stability needs at least two distinct primes")
 
 
 def _primitive_root(p):
@@ -164,86 +182,23 @@ def _primitive_root(p):
     raise AssertionError("no primitive root")
 
 
-def _smith(mat):
-    """Diagonalize an integer matrix by row and column operations.
-    Returns (U, diag) with U unimodular and U*mat*V = diag(diag)."""
-    m = [list(row) for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    unit = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    t = 0
-    while t < rows and t < cols:
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-            unit[t], unit[pi] = unit[pi], unit[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t]:
-                q = m[i][t] // m[t][t]
-                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                unit[i] = [a - q * b for a, b in zip(unit[i], unit[t])]
-                if m[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j]:
-                q = m[t][j] // m[t][t]
-                for row in m:
-                    row[j] -= q * row[t]
-                if m[t][j]:
-                    dirty = True
-        if not dirty:
-            t += 1
-    diag = []
-    for k in range(min(rows, cols)):
-        if m[k][k]:
-            diag.append(abs(m[k][k]))
-        else:
-            break
-    return unit, diag
-
-
-def _exact_int_inverse(mat):
-    inv = _invert_fraction_matrix(mat)
-    out = []
-    for row in inv:
-        cells = []
-        for x in row:
-            f = Fraction(x)
-            assert f.denominator == 1
-            cells.append(int(f))
-        out.append(cells)
-    return out
-
-
 class _SupportClasses:
-    """Torus-class bookkeeping for one support pattern.  Class labels are
-    mixed-radix digits; packed against the strides they give each class a
-    dense index within the support."""
+    """Torus-class bookkeeping for one support pattern.  rootsystem.smith
+    gives a unimodular U with U*W diagonal, W the pattern's weight rows, and
+    its inverse: U maps a vector's discrete logs to its class label, and
+    U_inv maps a label back to the logs of its representative.  Class labels
+    are mixed-radix digits; packed against the strides they give each class
+    a dense index within the support."""
 
     def __init__(self, weight_rows, pm1):
         r = len(weight_rows)
-        unit, diag = _smith(weight_rows)
-        moduli = []
-        for k in range(r):
-            if k < len(diag):
-                g = gcd(diag[k], pm1)
-                moduli.append(g if g else pm1)
-            else:
-                moduli.append(pm1)
+        unit, unit_inv, diag = smith(weight_rows)
+        # a label digit past the rank is free: gcd(0, p-1) classes
+        moduli = [gcd(d, pm1) for d in diag + [0] * (r - len(diag))]
         self.moduli = tuple(moduli)
-        self.count = prod(moduli) if moduli else 1
+        self.count = prod(moduli)
         self.unit = np.array(unit, dtype=np.int64).reshape(r, r)
-        self.unit_inv = np.array(_exact_int_inverse(unit), dtype=np.int64).reshape(r, r)
+        self.unit_inv = np.array(unit_inv, dtype=np.int64).reshape(r, r)
         self.mod_arr = np.array(moduli, dtype=np.int64).reshape(r)
         strides = [0] * r
         acc = 1
@@ -264,7 +219,7 @@ class _Closure:
 
     def __init__(self, nm: NilModule, roots, p, sc=None,
                  state_budget=DEFAULT_STATE_BUDGET):
-        if sc is None:
+        if sc is None and nm.unipotent_generators:
             sc = structure_constants(nm.rs.rstype)
         self.p = p
         self.pm1 = p - 1
@@ -523,8 +478,7 @@ def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         raise NilOrbitError(f"order {order} is not a valid order for {rs.rstype}")
     if primes is None:
         primes = admissible_primes(order)
-    if len(primes) < 2:
-        raise NilOrbitError("stability needs at least two primes")
+    check_primes(order, primes)
     sc = structure_constants(rs.rstype)
     nm = build_nqs(rs, standard_point(rs, order))
     table = cases.case_table(rs.rstype, order)

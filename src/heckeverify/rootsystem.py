@@ -6,6 +6,10 @@ by height).  The module also carries the standard numerology (degrees,
 exponents, center order), epsilon-coordinate views for the classical families
 and F4, and Chevalley structure constants with a documented sign convention.
 
+The one exact integer elimination, smith, lives here too: it gives the
+center order, the torus classes on each support pattern of an eigenspace
+(nilorbits) and the rank of a torus-weight matrix (verify).
+
 Numbering of simple roots is Bourbaki's throughout:
 
   A_n   1-2-...-n
@@ -23,6 +27,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import prod
 
 import numpy as np
 
@@ -33,6 +38,7 @@ __all__ = [
     "StructureConstants",
     "parse_type",
     "build",
+    "smith",
     "component_labels",
     "components",
     "degrees_of",
@@ -192,26 +198,57 @@ def _invert_fraction_matrix(mat):
     return [row[n:] for row in aug]
 
 
-def _det_int(mat):
-    """Exact determinant via Fraction elimination."""
-    n = len(mat)
-    m = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
+def smith(mat):
+    """Diagonalise an integer matrix by unimodular row and column operations.
+
+    Returns (U, U_inv, diag) with U*mat*V = diag(diag) up to signs, for some
+    unimodular V, and U_inv the integer inverse of U.  len(diag) is the rank
+    of mat; for a square nonsingular mat, prod(diag) is |det mat|.  The
+    entries need not divide one another.  Each row operation on U is
+    mirrored by the inverse column operation on U_inv."""
+    m = [list(row) for row in mat]
+    rows, cols = len(m), len(m[0]) if m else 0
+    unit = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    inv = [row[:] for row in unit]
+    t = 0
+    while t < rows and t < cols:
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+            unit[t], unit[pi] = unit[pi], unit[t]
+            for row in inv:
+                row[t], row[pi] = row[pi], row[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if m[i][t]:
+                q = m[i][t] // m[t][t]
+                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                unit[i] = [a - q * b for a, b in zip(unit[i], unit[t])]
+                for row in inv:
+                    row[t] += q * row[i]
+                if m[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if m[t][j]:
+                q = m[t][j] // m[t][t]
+                for row in m:
+                    row[j] -= q * row[t]
+                if m[t][j]:
+                    dirty = True
+        if not dirty:
+            t += 1
+    # t pivots were placed, one per unit of rank
+    return unit, inv, [abs(m[k][k]) for k in range(t)]
 
 
 _EDGE_CHUNK = 1 << 20
@@ -409,7 +446,7 @@ class RootSystem:
 
     def center_order(self) -> int:
         """Order of the center of the simply connected group: det of Cartan."""
-        return _det_int(self.cartan)
+        return prod(smith(self.cartan)[2])
 
     def height_histogram(self):
         """Map height -> number of positive roots of that height."""

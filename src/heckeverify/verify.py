@@ -32,7 +32,9 @@ from .hecke import (
 )
 from .nilorbits import NilOrbitError, admissible_primes
 from .partitions import PartitionError, check_inequalities, p, typeD_bound, typeD_count
-from .rootsystem import RootSystemError, build, parse_type, structure_constants
+from .rootsystem import (
+    RootSystemError, build, parse_type, smith, structure_constants,
+)
 from .torus import (
     TorusError, count_one_dim_characters, standard_point,
     verify_mixed_nonconjugacy,
@@ -358,8 +360,7 @@ def unit_regular_count(name, prime_bound, dim_cap, state_budget):
     nm = nilorbits.build_nqs(rs, standard_point(rs, m))
     parts = nilorbits.decompose(nm)
     weight_of = dict(zip(nm.basis_roots, nm.torus_weights))
-    _, diag = nilorbits._smith([list(w) for w in nm.torus_weights])
-    weight_rank = len(diag)
+    weight_rank = len(smith(nm.torus_weights)[2])
     contents = [gcd(*weight_of[sub.support[0]]) for sub in parts]
     rational = {}
     predicted = {}
@@ -639,7 +640,9 @@ def verify_all(config: RunConfig = None) -> VerificationReport:
                 build(ty)
                 if unit == "orbit-case":
                     structure_constants(ty)
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # fork starts every worker at once, so no more than there are units
+        workers = min(config.jobs, len(plan))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_entry, plan))
     else:
         chunks = [_run_entry(e) for e in plan]

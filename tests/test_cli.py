@@ -120,6 +120,28 @@ def test_orbits_joint_counts_recorded_group(capsys):
     assert data["stable"] is True
 
 
+def test_orbits_refuses_primes_that_are_not_one_mod_the_order(capsys):
+    rc, out, err = run(capsys, "orbits", "E6", "--order", "7",
+                       "--primes", "29,11")
+    assert rc == 2 and out == ""
+    assert "11 is not an admissible prime for order 7" in err
+    rc, _, err = run(capsys, "orbits", "E6", "--order", "7",
+                     "--primes", "29,57")     # 57 = 3 * 19 is 1 mod 7
+    assert rc == 2 and "57 is not an admissible prime" in err
+
+
+def test_orbits_joint_needs_two_admissible_primes(capsys):
+    rc, _, err = run(capsys, "orbits", "E6", "--order", "7",
+                     "--joint", "1", "--primes", "29")
+    assert rc == 2 and "at least two distinct primes" in err
+    rc, _, err = run(capsys, "orbits", "E6", "--order", "7",
+                     "--joint", "1", "--primes", "5,29")
+    assert rc == 2 and "5 is not an admissible prime for order 7" in err
+    rc, data, _ = run_json(capsys, "orbits", "E6", "--order", "7",
+                           "--joint", "1", "--primes", "29,43")
+    assert rc == 0 and list(data["counts"]) == ["29", "43"]
+
+
 def test_orbits_joint_bad_index(capsys):
     rc, _, err = run(capsys, "orbits", "E6", "--order", "7",
                      "--joint", "1,9")

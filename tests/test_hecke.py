@@ -196,6 +196,15 @@ def test_omega_sizes_match_the_cartan_determinant():
         assert all(length(e) == 0 for e in om)
 
 
+def test_omega_group_interns_no_candidate(monkeypatch):
+    d4 = parse_type("D4")
+    monkeypatch.setattr(hecke, "_INTERNED", {})
+    table = hecke._interned(d4)
+    omega_group.cache_clear()
+    assert len(omega_group(d4)) == 4
+    assert table.elems == [ext_identity(build(d4))]
+
+
 def test_omega_is_closed_under_product():
     om = set(omega_group(parse_type("A3")))
     for a in om:

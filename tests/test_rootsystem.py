@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -100,6 +101,78 @@ def test_highest_root(t, theta):
 ])
 def test_center_order(t, det):
     assert build(parse_type(t)).center_order() == det
+
+
+SMITH_TYPES = ([f"A{n}" for n in range(1, 10)] + [f"B{n}" for n in range(2, 9)]
+               + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 13)]
+               + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def det_by_expansion(mat):
+    """Leibniz expansion over the first row; exact on integers."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * mat[0][j]
+               * det_by_expansion([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j in range(len(mat)) if mat[0][j])
+
+
+def rank_by_fractions(mat):
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+# |P/Q| by family: n+1 for A_n, 4 for D_n, 3 for E6, 2 for B, C and E7,
+# 1 for E8, F4 and G2
+CENTER_BY_FAMILY = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
+                    "D": lambda n: 4, "E": lambda n: {6: 3, 7: 2, 8: 1}[n],
+                    "F": lambda n: 1, "G": lambda n: 1}
+
+
+@pytest.mark.parametrize("t", SMITH_TYPES)
+def test_smith_of_cartan_gives_the_center_order(t):
+    rs = build(parse_type(t))
+    unit, unit_inv, diag = rootsystem.smith(rs.cartan)
+    want = CENTER_BY_FAMILY[rs.rstype.family](rs.rank)
+    assert math.prod(diag) == rs.center_order() == want
+    assert len(diag) == rs.rank
+    assert matmul(unit, unit_inv) == identity(rs.rank)
+
+
+def test_smith_on_random_integer_matrices():
+    rng = random.Random(20261018)
+    nonsingular = 0
+    for _ in range(400):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        mat = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0
+                for _ in range(cols)] for _ in range(rows)]
+        unit, unit_inv, diag = rootsystem.smith(mat)
+        assert matmul(unit, unit_inv) == identity(rows)
+        assert len(diag) == rank_by_fractions(mat)
+        assert all(d > 0 for d in diag)
+        if rows == cols and len(diag) == rows:
+            nonsingular += 1
+            assert math.prod(diag) == abs(det_by_expansion(mat))
+    assert nonsingular > 20
 
 
 @pytest.mark.parametrize("t", ALL_TYPES)

@@ -21,6 +21,7 @@ import json
 import pytest
 
 from heckeverify import cases, hecke, report, verify
+from heckeverify.rootsystem import structure_constants
 from heckeverify.verify import (
     ConfigError, RunConfig, config_from_dict, config_from_file, verify_all,
 )
@@ -230,6 +231,37 @@ def test_every_regular_unit_passes():
     rep = verify_all(RunConfig(cases=cases))
     assert [r["case"] for r in rep.records] == list(cases)
     assert all(r["status"] == "pass" for r in rep.records), rep.failures
+
+
+def test_regular_count_builds_no_structure_constants():
+    # every *.regular eigenspace has no generator, so no table is read
+    before = structure_constants.cache_info()
+    records = verify.unit_regular_count("E6", 2000, 12, 300000)
+    after = structure_constants.cache_info()
+    assert [r["status"] for r in records] == ["pass"]
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_jobs_start_at_most_one_worker_per_unit(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    rep = verify_all(RunConfig(cases=("A2.roots", "G2.roots"), jobs=64))
+    assert started == [2]
+    assert [r["status"] for r in rep.records] == ["pass", "pass"]
 
 
 def test_plan_uses_every_unit_and_unique_case_ids():
