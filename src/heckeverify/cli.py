@@ -139,6 +139,7 @@ def cmd_orbits(args):
             primes = nilorbits.admissible_primes(args.order)
         nilorbits.check_primes(args.order, primes)
         nm = nilorbits.build_nqs(rs, standard_point(rs, args.order))
+        nilorbits.check_order(rs, args.order)
         table = cases.case_table(rs.rstype, args.order)
         named = nilorbits.named_components(table, nilorbits.decompose(nm))
         # indices name the recorded modules M1, M2, ... or, with no

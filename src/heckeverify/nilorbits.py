@@ -150,6 +150,12 @@ def admissible_primes(order: int, count: int = 2, limit: int = 2000):
     return found[:count]
 
 
+def check_order(rs: RootSystem, order: int):
+    """Refuse an order that is not a valid order of the type."""
+    if order not in valid_orders(rs):
+        raise NilOrbitError(f"order {order} is not a valid order for {rs.rstype}")
+
+
 def check_primes(order: int, primes):
     """Refuse field sizes that admissible_primes would not pick: each must
     be a prime p > 3 with p = 1 mod order, and a count is called stable
@@ -474,8 +480,7 @@ def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
     two admissible primes.  A grouping's recorded representatives are
     checked on the closure that counted it at each prime."""
     rs = build(parse_type(str(rstype)))
-    if order not in valid_orders(rs):
-        raise NilOrbitError(f"order {order} is not a valid order for {rs.rstype}")
+    check_order(rs, order)
     if primes is None:
         primes = admissible_primes(order)
     check_primes(order, primes)

@@ -150,34 +150,24 @@ def degrees_of(rstype: RootSystemType):
     return tuple(entry[rstype.rank])
 
 
-def _epsilon_view(rstype: RootSystemType):
-    """Rows: simple roots as vectors in the standard epsilon coordinates.
+def _twice_epsilon_view(rstype: RootSystemType):
+    """Rows: simple roots as vectors in the standard epsilon coordinates,
+    doubled so that every entry is an integer.
 
     Provided for B, C, D (n coordinates) and F4 (4 coordinates, half-integer
     entries on alpha_4).  None for other families.
     """
     f, n = rstype.family, rstype.rank
-    half = Fraction(1, 2)
     if f in ("B", "C", "D"):
-        rows = []
+        rows = [[0] * n for _ in range(n)]
         for i in range(n - 1):
-            v = [Fraction(0)] * n
-            v[i], v[i + 1] = Fraction(1), Fraction(-1)
-            rows.append(tuple(v))
-        last = [Fraction(0)] * n
-        if f == "B":
-            last[n - 1] = Fraction(1)
-        elif f == "C":
-            last[n - 1] = Fraction(2)
-        else:
-            last[n - 2] = last[n - 1] = Fraction(1)
-        rows.append(tuple(last))
-        return tuple(rows)
+            rows[i][i], rows[i][i + 1] = 2, -2
+        if f == "D":
+            rows[-1][n - 2] = 2
+        rows[-1][n - 1] = 4 if f == "C" else 2
+        return tuple(map(tuple, rows))
     if f == "F":
-        return ((Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
-                (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-                (half, -half, -half, -half))
+        return ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))
     return None
 
 
@@ -251,6 +241,12 @@ def smith(mat):
     return unit, inv, [abs(m[k][k]) for k in range(t)]
 
 
+def _exact_div(num, den):
+    """num / den for integers that must divide exactly."""
+    assert num % den == 0, (num, den)
+    return num // den
+
+
 _EDGE_CHUNK = 1 << 20
 
 
@@ -316,11 +312,9 @@ class RootSystem:
         self.degrees = degrees_of(rstype)
         self._validate_counts()
         self.highest_root = self.positive_roots[-1]
-        self.fundamental_weights = tuple(
-            tuple(row) for row in _invert_fraction_matrix(self.cartan))
-        self.epsilon_view = _epsilon_view(rstype)
-        self._root_norm2 = {r: self._form(r) for r in self.all_roots}
-        self._epsilon_index = None
+        self.twice_epsilon_view = _twice_epsilon_view(rstype)
+        # 2(r, r) for every root, an integer
+        self._twice_norm2 = {r: self._twice_form(r) for r in self.all_roots}
 
     # -- construction -------------------------------------------------------
 
@@ -390,25 +384,22 @@ class RootSystem:
     def height(self, root) -> int:
         return sum(root)
 
-    def _form(self, vec) -> Fraction:
-        """(vec, vec) by the bilinear-form double sum, taken over twice the
-        form, which has integer entries."""
+    def _twice_form(self, vec) -> int:
+        """2(vec, vec), over twice the bilinear form, which has integer
+        entries."""
         bil2 = self._bil2
-        acc = 0
-        for i, a in enumerate(vec):
-            if a:
-                row = bil2[i]
-                for j, b in enumerate(vec):
-                    if b:
-                        acc += a * b * row[j]
-        return Fraction(acc, 2)
+        return sum(a * b * bil2[i][j] for i, a in enumerate(vec) if a
+                   for j, b in enumerate(vec) if b)
+
+    def twice_norm2(self, root) -> int:
+        """2(root, root); looked up for roots, computed for other vectors."""
+        root = tuple(root)
+        n2 = self._twice_norm2.get(root)
+        return self._twice_form(root) if n2 is None else n2
 
     def norm2(self, root) -> Fraction:
-        """(root, root) in the fixed normalization; looked up for roots,
-        computed for any other vector."""
-        root = tuple(root)
-        n2 = self._root_norm2.get(root)
-        return self._form(root) if n2 is None else n2
+        """(root, root) in the fixed normalization."""
+        return Fraction(self.twice_norm2(root), 2)
 
     def length_class(self, root) -> str:
         """'long' or 'short'; every root is 'long' in a simply-laced system."""
@@ -417,14 +408,15 @@ class RootSystem:
         return "long" if self.norm2(root) == max(self._simple_norm2) else "short"
 
     def coroot_coords(self, root):
-        """root^vee as integer coordinates over the simple coroots."""
-        n2 = self.norm2(root)
-        out = []
-        for i, a in enumerate(root):
-            c = Fraction(a) * self._bil[i][i] / n2
-            assert c.denominator == 1
-            out.append(int(c))
-        return tuple(out)
+        """root^vee over the simple coroots: a_i (alpha_i, alpha_i) / (root, root)."""
+        n2 = self.twice_norm2(root)
+        return tuple(_exact_div(a * self._bil2[i][i], n2)
+                     for i, a in enumerate(root))
+
+    @cached_property
+    def fundamental_weights(self):
+        """Rows of the inverse Cartan matrix (Fractions), built on first use."""
+        return tuple(tuple(row) for row in _invert_fraction_matrix(self.cartan))
 
     @cached_property
     def coroots(self):
@@ -439,10 +431,7 @@ class RootSystem:
         return max(self.exponents())
 
     def weyl_order(self) -> int:
-        out = 1
-        for d in self.degrees:
-            out *= d
-        return out
+        return prod(self.degrees)
 
     def center_order(self) -> int:
         """Order of the center of the simply connected group: det of Cartan."""
@@ -456,24 +445,30 @@ class RootSystem:
             hist[h] = hist.get(h, 0) + 1
         return hist
 
-    def root_to_epsilon(self, root):
-        """Root coordinates in the epsilon view (families B, C, D, F only)."""
-        if self.epsilon_view is None:
+    def _twice_epsilon(self, roots):
+        """Doubled epsilon coordinates of a stack of roots, as int64 rows."""
+        if self.twice_epsilon_view is None:
             raise RootSystemError(f"no epsilon view for {self.rstype}")
-        dim = len(self.epsilon_view[0])
-        out = [Fraction(0)] * dim
-        for i, c in enumerate(root):
-            if c:
-                for k in range(dim):
-                    out[k] += c * self.epsilon_view[i][k]
-        return tuple(out)
+        return (np.array(roots, dtype=np.int64)
+                @ np.array(self.twice_epsilon_view, dtype=np.int64))
+
+    def root_to_epsilon(self, root):
+        """Root coordinates in the epsilon view (families B, C, D, F only),
+        as Fractions."""
+        return tuple(Fraction(x, 2) for x in self._twice_epsilon(root).tolist())
+
+    @cached_property
+    def _epsilon_index(self):
+        """Twice the epsilon coordinates of each root -> root."""
+        keys = self._twice_epsilon(self.all_roots).tolist()
+        return dict(zip(map(tuple, keys), self.all_roots))
 
     def epsilon_to_root(self, eps):
-        """Inverse of root_to_epsilon; raises if the vector is not a root."""
-        if self._epsilon_index is None:
-            self._epsilon_index = {self.root_to_epsilon(r): r
-                                   for r in self.all_roots}
-        root = self._epsilon_index.get(tuple(Fraction(e) for e in eps))
+        """Inverse of root_to_epsilon; raises if the vector is not a root.
+        Takes ints, Fractions or any other exact numbers."""
+        twice = tuple(2 * e for e in eps)
+        key = tuple(map(int, twice))
+        root = self._epsilon_index.get(key) if key == twice else None
         if root is None:
             raise RootSystemError(f"{eps} is not a root of {self.rstype}")
         return root
@@ -503,6 +498,11 @@ class StructureConstants:
         a,b>0, a+b=xi+eta    =>  N(a,b) N(a+b,-xi) =
                                  -N(-xi,a) N(a-xi,b) - N(b,-xi) N(b-xi,a)
 
+    Only the constants on pairs of positive roots are stored (pos, built by
+    the second identity); n() derives the rest when asked, by
+    N(-a,-b) = -N(a,b), antisymmetry and the first identity, in integers.
+    The whole signed table, .table, is collected from n() on first use.
+
     The 'twisted' convention rescales e_{+-a} by (-1)^(a_1 a_2), another valid
     Chevalley basis; downstream orbit counts must not depend on the choice.
     """
@@ -510,16 +510,14 @@ class StructureConstants:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.convention = "extraspecial"
-        self.table = self._full_table(self._positive_table())
+        self.pos = self._positive_table()
 
     def twisted(self) -> "StructureConstants":
-        """The same basis rescaled to the twisted convention."""
-        chi = self._chi
+        """The same basis rescaled to the twisted convention: n() applies
+        the sign chi(a) chi(b) chi(a+b)."""
         out = copy.copy(self)
         out.convention = "twisted"
-        out.table = {(a, b): v * chi(a) * chi(b)
-                     * chi(tuple(x + y for x, y in zip(a, b)))
-                     for (a, b), v in self.table.items()}
+        out.__dict__.pop("table", None)    # collected again from the twisted n()
         return out
 
     @staticmethod
@@ -530,7 +528,38 @@ class StructureConstants:
 
     def n(self, a, b) -> int:
         """N(a,b); zero when a+b is not a root."""
-        return self.table.get((a, b), 0)
+        total = tuple(x + y for x, y in zip(a, b))
+        if total not in self.rs.index:
+            return 0
+        val = self._untwisted(a, b, total)
+        if self.convention == "twisted":
+            chi = self._chi
+            val *= chi(a) * chi(b) * chi(total)
+        return val
+
+    def _untwisted(self, a, b, total) -> int:
+        pos, twice = self.pos, self.rs._twice_norm2
+        a_pos, b_pos = sum(a) > 0, sum(b) > 0
+        if a_pos and b_pos:
+            return pos[(a, b)]
+        if not a_pos and not b_pos:
+            return -pos[(tuple(-x for x in a), tuple(-x for x in b))]
+        if not a_pos:
+            return -self._untwisted(b, a, total)
+        # a > 0 > b: with nb = -b, the roots a, -nb, -total sum to zero
+        nb = tuple(-x for x in b)
+        if sum(total) > 0:
+            # (nb, total) positive, summing to a
+            return _exact_div(-pos[(nb, total)] * twice[total], twice[a])
+        # (-total, a) positive, summing to nb
+        nu = tuple(-x for x in total)
+        return _exact_div(pos[(nu, a)] * twice[nu], twice[nb])
+
+    @cached_property
+    def table(self):
+        """{(a, b): N(a,b)} over every pair of roots with a+b a root."""
+        roots, n = self.rs.all_roots, self.n
+        return {(a, b): v for a in roots for b in roots if (v := n(a, b))}
 
     def string_down(self, a, b) -> int:
         """Largest k with b - k a a root (a, b roots, b != +-a)."""
@@ -545,6 +574,7 @@ class StructureConstants:
 
     def _positive_table(self):
         rs = self.rs
+        twice = rs._twice_norm2
         pos = {}
 
         def vdiff(a, b):
@@ -564,10 +594,7 @@ class StructureConstants:
         def mixed_neg_simple(xi, a):
             # N(-xi, a) and N(a, -xi) for xi simple, a positive, a-xi a positive root
             mu = vdiff(a, xi)
-            base = pos[(xi, mu)]
-            val = Fraction(base) * rs.norm2(mu) / rs.norm2(a)
-            assert val.denominator == 1
-            return int(val)
+            return _exact_div(pos[(xi, mu)] * twice[mu], twice[a])
 
         for h in sorted(by_height):
             if h == 1:
@@ -578,9 +605,7 @@ class StructureConstants:
                 pos[(xi, eta)] = p + 1
                 pos[(eta, xi)] = -(p + 1)
                 # remaining decompositions of gamma into two positive roots
-                n_gx = Fraction(-(p + 1)) * rs.norm2(eta) / rs.norm2(gamma)
-                assert n_gx.denominator == 1
-                n_gamma_negxi = int(n_gx)  # N(gamma, -xi)
+                n_gamma_negxi = _exact_div(-(p + 1) * twice[eta], twice[gamma])
                 for a in rs.positive_roots:
                     if rs.height(a) >= h:
                         break
@@ -598,43 +623,12 @@ class StructureConstants:
                     bmx = vdiff(b, xi)
                     if bmx in rs.index and sum(bmx) > 0:
                         acc += -mixed_neg_simple(xi, b) * pos[(bmx, a)]
-                    val = Fraction(-acc) / n_gamma_negxi
-                    assert val.denominator == 1, (gamma, a, b)
-                    nval = int(val)
+                    nval = _exact_div(-acc, n_gamma_negxi)
                     expect = self.string_down(a, b) + 1
                     assert abs(nval) == expect, (gamma, a, b, nval, expect)
                     pos[(a, b)] = nval
                     pos[(b, a)] = -nval
         return pos
-
-    def _full_table(self, pos):
-        rs = self.rs
-        full = dict(pos)
-
-        def vdiff(a, b):
-            return tuple(x - y for x, y in zip(a, b))
-
-        for a in rs.positive_roots:
-            for b in rs.positive_roots:
-                na, nb = rs._neg(a), rs._neg(b)
-                if (a, b) in pos:
-                    full[(na, nb)] = -pos[(a, b)]
-                if a == b:
-                    continue
-                # mixed pair (a, -b): a - b must be a root
-                d = vdiff(a, b)
-                if d in rs.index:
-                    if sum(d) > 0:
-                        # a + (-b) + (-d) = 0 with (b, d) positive summing to a
-                        val = Fraction(-pos[(b, d)]) * rs.norm2(d) / rs.norm2(a)
-                    else:
-                        nu = rs._neg(d)
-                        # a + (-b) + nu = 0 with (nu, a) positive summing to b
-                        val = Fraction(pos[(nu, a)]) * rs.norm2(nu) / rs.norm2(b)
-                    assert val.denominator == 1
-                    full[(a, nb)] = int(val)
-                    full[(nb, a)] = -int(val)
-        return full
 
 
 @lru_cache(maxsize=None)

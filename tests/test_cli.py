@@ -142,6 +142,13 @@ def test_orbits_joint_needs_two_admissible_primes(capsys):
     assert rc == 0 and list(data["counts"]) == ["29", "43"]
 
 
+def test_orbits_joint_refuses_an_invalid_order(capsys):
+    rc, out, err = run(capsys, "orbits", "E6", "--order", "13",
+                       "--joint", "1")
+    assert rc == 2 and out == ""
+    assert "order 13 is not a valid order for E6" in err
+
+
 def test_orbits_joint_bad_index(capsys):
     rc, _, err = run(capsys, "orbits", "E6", "--order", "7",
                      "--joint", "1,9")

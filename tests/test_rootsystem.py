@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -238,10 +239,30 @@ def test_epsilon_views():
         build(parse_type("E6")).root_to_epsilon((1, 0, 0, 0, 0, 0))
     with pytest.raises(RootSystemError):
         b3.epsilon_to_root((2, 0, 0))
-    for t in ("B3", "C4", "D9", "F4"):
+    for t in ("B3", "C4", "D9", "B8", "C8", "D12", "F4"):
         rs = build(parse_type(t))
         for r in rs.all_roots:
             assert rs.epsilon_to_root(rs.root_to_epsilon(r)) == r
+
+
+def test_epsilon_to_root_edge_cases():
+    with pytest.raises(RootSystemError, match="no epsilon view"):
+        build(parse_type("E6")).epsilon_to_root((1, 0, 0, 0, 0, 0, 0, 0))
+    f4, b3 = build(parse_type("F4")), build(parse_type("B3"))
+    third, h = Fraction(1, 3), Fraction(1, 2)
+    # 2/3 has no integer key; the vector is refused as a non-root
+    with pytest.raises(RootSystemError, match="not a root"):
+        f4.epsilon_to_root((third, 0, 0, 0))
+    with pytest.raises(RootSystemError, match="not a root"):
+        b3.epsilon_to_root((1, third, 0))
+    with pytest.raises(RootSystemError, match="not a root"):
+        b3.epsilon_to_root((1, 0))
+    assert (b3.epsilon_to_root((1, -1, 0))
+            == b3.epsilon_to_root((Fraction(1), Fraction(-1), Fraction(0)))
+            == (1, 0, 0))
+    assert (f4.epsilon_to_root((1, 0, 0, 0))
+            == f4.epsilon_to_root((Fraction(2, 2), 0, 0, 0)) == (1, 2, 3, 2))
+    assert f4.epsilon_to_root((h, h, -h, h)) == (1, 1, 2, 1)
 
 
 @pytest.mark.parametrize("t", ["B4", "C4", "F4", "G2", "E8"])
@@ -417,6 +438,41 @@ def test_twisted_table_rescales_the_extraspecial_one(t):
     assert tw.table == want
     # rescaling leaves the cached extraspecial table as it was
     assert structure_constants(parse_type(t)).table == fresh
+
+
+@pytest.mark.parametrize("t", ["G2", "B3", "F4"])
+def test_twisted_n_agrees_with_its_table(t):
+    rs = build(parse_type(t))
+    tw = structure_constants(parse_type(t), "twisted")
+    sc = structure_constants(parse_type(t))
+    flipped = 0
+    for a in rs.all_roots:
+        for b in rs.all_roots:
+            assert tw.n(a, b) == tw.table.get((a, b), 0), (a, b)
+            flipped += tw.n(a, b) != sc.n(a, b)
+    assert flipped > 0
+
+
+# sha256 of repr(sorted(table.items())) for the extraspecial table
+GOLDEN_TABLES = {
+    "A5": (240, "38f49e084fa2dd92c3f7871da7e82fa15b3444d0dd4246c17964926b3fad5cc2"),
+    "B4": (336, "19dec7eec4bb451075237b33b4fec18093cad00639de36d7f3205419cbd36fc5"),
+    "C5": (720, "ef986e0ba180a7b0183917d0dbf21c9282e0c377c717123e1a10f0d2cd279fd4"),
+    "D4": (192, "944ff8fd3e423ea3ebcda192835173dc8ee5ff90494e898fe2a71b80616c146a"),
+    "D9": (4032, "36c5ce5e32459ca5f210f9fbb736abf1cf9ff12a5847a74ec8733994a14736d5"),
+    "E6": (1440, "a8b97754d817dc6d127a6a118fc628b2d9a716bcc27b3c235c2f7d4aae8536b8"),
+    "E7": (4032, "c6f46114b9b782675830064d85ad77ab164f32f89f863537237c5a7ccf7e1734"),
+    "E8": (13440, "705d276686142a75f31fc1937d0e040f2c24889fb58ee607f2040d272b8e7b03"),
+    "F4": (816, "ac499f090362cb94920713b65182afcb73e585fbcfadd8cc616130fffd0069a4"),
+    "G2": (60, "fed05df94afd7a91f2685c96e1ff2402fb684baa20d48a0d3a7312c43ec01324"),
+}
+
+
+@pytest.mark.parametrize("t", sorted(GOLDEN_TABLES))
+def test_tables_match_their_golden_digest(t):
+    table = StructureConstants(build(parse_type(t))).table
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert (len(table), digest) == GOLDEN_TABLES[t]
 
 
 def test_simply_laced_constants_are_units():

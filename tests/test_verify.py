@@ -20,8 +20,8 @@ import json
 
 import pytest
 
-from heckeverify import cases, hecke, report, verify
-from heckeverify.rootsystem import structure_constants
+from heckeverify import cases, hecke, nilorbits, report, verify
+from heckeverify.rootsystem import StructureConstants, build, structure_constants
 from heckeverify.verify import (
     ConfigError, RunConfig, config_from_dict, config_from_file, verify_all,
 )
@@ -240,6 +240,20 @@ def test_regular_count_builds_no_structure_constants():
     after = structure_constants.cache_info()
     assert [r["status"] for r in records] == ["pass"]
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_orbit_case_never_collects_the_full_table(monkeypatch):
+    # a fresh table per call keeps the process-wide cache for later tests
+    made = []
+
+    def fresh(rstype, convention=None):
+        made.append(StructureConstants(build(rstype)))
+        return made[-1]
+
+    monkeypatch.setattr(nilorbits, "structure_constants", fresh)
+    records = verify_all(RunConfig(cases=("E7.o11",))).records
+    assert [r["status"] for r in records] == ["pass"] * 5
+    assert made and all("table" not in vars(sc) for sc in made)
 
 
 def test_jobs_start_at_most_one_worker_per_unit(monkeypatch):
