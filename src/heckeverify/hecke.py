@@ -3,8 +3,10 @@
 An element here is a pair (w, x) standing for w * t_x, with w in the finite
 Weyl group and x a weight-lattice vector in fundamental-weight coordinates.
 Lengths come from the positive-root double sum, so the affine simple
-reflection is the reflection through the wall of the highest short root and
-the length-zero subgroup is found by brute search over forced candidates.
+reflection is the reflection through the wall of the highest short root.
+Whether a generator shortens an element is the sign of one affine root, an
+O(rank) test; it finds the length-zero subgroup among forced candidates and
+steers every reduced word.
 
 Hecke coefficients are integer Laurent polynomials in a formal v with
 v^2 = q, which keeps the half-integer powers of the normalized translation
@@ -15,15 +17,18 @@ numeric specialization is left to callers.
 ExtAffine and Laurent are the public values.  Inside a product, elements
 are integer ids interned per root-system type, and the product of an id
 with a generator on either side is kept in an integer table per (type,
-generator, side), so a fold loops over ints and builds an ExtAffine only
-when a table entry is first filled.  Coefficients are packed into one
-integer each for the length of a product.
+generator, side), so a fold loops over ints.  A table entry is filled once,
+from the generator's action written out for (w, x), with the length of its
+parent plus or minus one; only an element that comes in from outside has
+its length summed over the positive roots.  Coefficients are packed into
+one integer each for the length of a product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul, sub
 
 from . import report
 from .rootsystem import build, components, parse_type
@@ -32,6 +37,11 @@ from .weyl import WeylElement, enumerate_group
 
 class HeckeError(ValueError):
     """Raised for unsupported ranks, blown budgets, or bad scalar patterns."""
+
+
+class EigenRelationError(HeckeError):
+    """A spanning sum failed one of its eigen-relations: a failed claim,
+    where every other HeckeError is a refusal."""
 
 
 DEFAULT_TERM_BUDGET = 100_000
@@ -179,66 +189,158 @@ class _Interned:
     its own table.
     elems[k] is the element with id k and lengths[k] its length.
     steps[left][i][k] packs the product with generator r_i on that side as
-    (neighbor id << 1 | length went up); -1 until first asked for."""
+    (neighbor id << 1 | length went up); -1 until first asked for.
+
+    Only an element that comes in from outside (id) has its length summed
+    over the positive roots.  A table entry is the generator's action
+    written out for (w, x), and its length is the parent's plus or minus
+    one by the descent test (descends); a product with a length-zero
+    element keeps the other factor's length."""
 
     def __init__(self, rstype):
+        rs = build(rstype)
         self.rstype = rstype
         self.elems = []
         self.ids = {}
         self.lengths = []
-        n1 = rstype.rank + 1
+        n1 = rs.rank + 1
         self.steps = ([[] for _ in range(n1)], [[] for _ in range(n1)])
         self.factors = {}
         self.products = {}
-        self.identity = self.id(ext_identity(build(rstype)))
+        self.identity = self.id(ext_identity(rs))
+        # what descends and _neighbour read: walls[i] is the root index of
+        # beta (i = 0) or of alpha_i, and moves[i] the finite part of r_i
+        beta = highest_short_root(rs)
+        self.npos = len(rs.positive_roots)
+        self.coroots = rs.coroots
+        self.walls = [rs.index[beta]] + [rs.index[a] for a in rs.simples]
+        self.moves = [g.w for g in affine_generators(rstype)]
+        # the roots of walls in weight coordinates (alpha_i is row i of
+        # the Cartan matrix)
+        self.wall_weights = [tuple(rs.pairing(beta, j)
+                                   for j in range(rs.rank)), *rs.cartan]
 
-    def id(self, elem: ExtAffine) -> int:
+    @cached_property
+    def root_weights(self):
+        """Every root in weight coordinates, for left products with r_0."""
+        rs = build(self.rstype)
+        return [tuple(rs.pairing(r, j) for j in range(rs.rank))
+                for r in rs.all_roots]
+
+    def _add(self, elem: ExtAffine, length: int) -> int:
         k = self.ids.get(elem)
         if k is None:
             k = self.ids[elem] = len(self.elems)
             self.elems.append(elem)
-            self.lengths.append(_length(elem))
+            self.lengths.append(length)
             for side in self.steps:
                 for table in side:
                     table.append(-1)
         return k
 
+    def id(self, elem: ExtAffine) -> int:
+        k = self.ids.get(elem)
+        return self._add(elem, _length(elem)) if k is None else k
+
+    def descends(self, elem: ExtAffine, i: int, left: bool) -> bool:
+        """Whether r_i on that side shortens elem = (w, x): one root lookup
+        and at most one O(rank) pairing.
+
+        Write (a, k), for a root a and an integer k, for the affine root
+        v -> <v, a^vee> + k; it is positive when k > 0, or k = 0 and a > 0.
+        (w, x) sends (a, k) to (w(a), k - <x, a^vee>), and summing over k
+        for each a > 0 shows that _length counts the positive affine roots
+        it sends to negative ones.  r_i has length 1 and negates the
+        positive affine root a_i, which is (alpha_i, 0) for s_i and
+        (-beta, 1) for r_0 = s_beta t_{-beta}, so it permutes the other
+        positive affine roots.  Hence l(e r_i) = l(e) - 1 exactly when
+        e(a_i) < 0, and l(r_i e) = l(e) - 1 exactly when e^{-1}(a_i) < 0,
+        where e^{-1} sends (a, k) to (w^{-1}(a), k + <x, w^{-1}(a)^vee>).
+        Written out, with beta the highest short root:
+          right s_j: x_j > 0, or x_j = 0 and w(alpha_j) < 0;
+          right r_0: p <= -2, or p = -1 and w(beta) > 0, for p = <x, beta^vee>;
+          left s_j:  p < 0, or p = 0 and w^{-1}(alpha_j) < 0,
+                     for p = <x, w^{-1}(alpha_j)^vee>;
+          left r_0:  p >= 2, or p = 1 and w^{-1}(beta) > 0,
+                     for p = <x, w^{-1}(beta)^vee>.
+        Either way the length changes by exactly one, so the neighbour's
+        length is the parent's plus or minus one."""
+        perm, x = elem.w.perm, elem.x
+        wall = self.walls[i]
+        if left:
+            r = perm.index(wall)        # the root w^{-1}(alpha_j) or w^{-1}(beta)
+            p = sum(map(mul, x, self.coroots[r]))
+            if i:
+                return p < 0 or p == 0 and r >= self.npos
+            return p > 1 or p == 1 and r < self.npos
+        if i:
+            p = x[i - 1]
+            return p > 0 or p == 0 and perm[wall] >= self.npos
+        p = sum(map(mul, x, self.coroots[wall]))
+        return p < -1 or p == -1 and perm[wall] < self.npos
+
+    def _neighbour(self, elem: ExtAffine, i: int, left: bool) -> ExtAffine:
+        """elem * r_i or r_i * elem, from (w, x)(w', x') = (w w',
+        w'^{-1}(x) + x') with r_i = (s_j, 0) or (s_beta, -beta):
+        (w, x) s_j = (w s_j, x - x_j alpha_j), (w, x) r_0 = (w s_beta,
+        x - (p + 1) beta) for p = <x, beta^vee>, s_j (w, x) = (s_j w, x)
+        and r_0 (w, x) = (s_beta w, x - w^{-1}(beta))."""
+        w, x = elem.w, elem.x
+        s = self.moves[i]
+        if left:
+            if i:
+                return ExtAffine(s * w, x)
+            shift = self.root_weights[w.perm.index(self.walls[0])]
+            return ExtAffine(s * w, tuple(map(sub, x, shift)))
+        if i:
+            p = x[i - 1]
+        else:
+            p = sum(map(mul, x, self.coroots[self.walls[0]])) + 1
+        shift = self.wall_weights[i]
+        return ExtAffine(w * s, tuple(a - p * c for a, c in zip(x, shift)))
+
     def step(self, k: int, i: int, left: bool) -> int:
         table = self.steps[left][i]
         got = table[k]
         if got < 0:
-            r = affine_generators(self.rstype)[i]
             e = self.elems[k]
-            nb = self.id(r * e if left else e * r)
-            got = table[k] = nb << 1 | (self.lengths[nb] > self.lengths[k])
+            up = not self.descends(e, i, left)
+            nb = self._add(self._neighbour(e, i, left),
+                           self.lengths[k] + (1 if up else -1))
+            got = table[k] = nb << 1 | up
         return got
 
     def times(self, k: int, m: int) -> int:
-        """The id of elems[k] * elems[m]."""
+        """The id of elems[k] * elems[m].  When either factor has length
+        zero (as in every product a fold takes), the product has the
+        other's length: l(ab) <= l(a) + l(b) and l(a) <= l(ab) + l(b^{-1})."""
         got = self.products.get((k, m))
         if got is None:
-            got = self.products[(k, m)] = self.id(self.elems[k] * self.elems[m])
+            e = self.elems[k] * self.elems[m]
+            lk, lm = self.lengths[k], self.lengths[m]
+            got = self.products[(k, m)] = (
+                self.id(e) if lk and lm else self._add(e, lk + lm))
         return got
 
     def factor(self, k: int):
         """(omega id, word) with elems[k] = omega * r_{j_1} ... r_{j_m} and
-        the word reduced: peel off the first right descent while the
-        length is positive."""
+        the word reduced: step down the first right descent, in generator
+        order, while the length is positive.  Only the descent chain is
+        interned."""
         got = self.factors.get(k)
         if got is None:
             tail = []
             e = k
+            gens = range(len(self.walls))
             while self.lengths[e]:
-                for i in range(self.rstype.rank + 1):
-                    s = self.step(e, i, False)
-                    if not s & 1:
-                        assert self.lengths[s >> 1] == self.lengths[e] - 1
-                        e = s >> 1
-                        tail.append(i)
-                        break
-                else:
+                elem = self.elems[e]
+                i = next((i for i in gens if self.descends(elem, i, False)),
+                         None)
+                if i is None:
                     raise AssertionError(
                         "element of positive length with no descent")
+                e = self.step(e, i, False) >> 1
+                tail.append(i)
             got = self.factors[k] = (e, tuple(reversed(tail)))
         return got
 
@@ -294,7 +396,8 @@ def affine_generators(rstype):
     minus_beta = tuple(-rs.pairing(beta, j) for j in range(rs.rank))
     gens[0] = ExtAffine(WeylElement(rs, images), minus_beta)
     for g in gens:
-        assert length(g) == 1
+        # _length, not length: the type's _Interned table reads these
+        assert _length(g) == 1
     return tuple(gens)
 
 
@@ -305,9 +408,13 @@ def omega_group(rstype):
     A length-zero (w, x) forces <x, a_j^> to be 0 on each simple root kept
     positive by w and -1 on each simple root inverted, so there is exactly
     one candidate x per w and a sweep over the finite group finds all of
-    them.  The count must equal the Cartan determinant."""
+    them.  No finite generator is a right descent of a candidate, so it
+    has length zero exactly when r_0 is not one either (an element of
+    positive length has a right descent).  The count must equal the Cartan
+    determinant."""
     rs = build(rstype)
     target = rs.center_order()
+    g = _interned(rstype)
     npos = len(rs.positive_roots)
     out = [ext_identity(rs)]
     if target > 1:
@@ -317,8 +424,8 @@ def omega_group(rstype):
             x = tuple(0 if w.perm[rs.index[a]] < npos else -1
                       for a in rs.simples)
             e = ExtAffine(w, x)
-            # length() would intern every candidate of the finite group
-            if _length(e) == 0:
+            # the test alone: length() would intern every candidate
+            if not g.descends(e, 0, False):
                 out.append(e)
     if len(out) != target:
         raise HeckeError(
@@ -587,7 +694,8 @@ def build_D_Dprime(rs):
     """The two spanning sums over the finite group, with their eigen-relations
     under every finite generator checked in the generic ring."""
     if rs.rank > DD_RANK_CAP:
-        raise HeckeError(f"rank {rs.rank} is over the rank-{DD_RANK_CAP} cap")
+        raise HeckeError(f"rank {rs.rank} is over the rank-{DD_RANK_CAP} cap "
+                         f"(DD_RANK_CAP) of the spanning sums")
     zero = (0,) * rs.rank
     d_terms = {}
     dp_terms = {}
@@ -602,10 +710,12 @@ def build_D_Dprime(rs):
     for j in range(rs.rank):
         tr = HeckeElement.basis(rs, affine_generators(rs.rstype)[j + 1])
         if hecke_mul(tr, d) != d.scale(L_Q) or hecke_mul(d, tr) != d.scale(L_Q):
-            raise HeckeError(f"spanning sum failed the q eigen-relation at {j}")
+            raise EigenRelationError(
+                f"spanning sum failed the q eigen-relation at {j}")
         if (hecke_mul(tr, dp) != dp.scale(minus)
                 or hecke_mul(dp, tr) != dp.scale(minus)):
-            raise HeckeError(f"alternating sum failed the -1 eigen-relation at {j}")
+            raise EigenRelationError(
+                f"alternating sum failed the -1 eigen-relation at {j}")
     return d, dp
 
 

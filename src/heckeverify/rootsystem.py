@@ -119,16 +119,18 @@ def _dynkin_data(rstype: RootSystemType):
 def _cartan_matrix(rstype: RootSystemType):
     edges, norm2 = _dynkin_data(rstype)
     n = rstype.rank
-    # (alpha_i, alpha_j) = -max(norm2_i, norm2_j)/2 on an edge: every bond of a
-    # connected pair joins roots whose norms differ by the full ratio, and the
-    # product of the two Cartan entries must be 1, 2 or 3.
-    bil = [[Fraction(0)] * n for _ in range(n)]
+    # bil2 is twice the bilinear form, which has integer entries:
+    # (alpha_i, alpha_j) = -max(norm2_i, norm2_j)/2 on an edge: every bond of
+    # a connected pair joins roots whose norms differ by the full ratio, and
+    # the product of the two Cartan entries must be 1, 2 or 3.
+    bil2 = [[0] * n for _ in range(n)]
     for i in range(n):
-        bil[i][i] = Fraction(norm2[i])
+        bil2[i][i] = 2 * norm2[i]
     for i, j in edges:
-        bil[i][j] = bil[j][i] = -Fraction(max(norm2[i], norm2[j]), 2)
-    cartan = [[int(2 * bil[i][j] / bil[j][j]) for j in range(n)] for i in range(n)]
-    return tuple(tuple(row) for row in cartan), norm2, bil
+        bil2[i][j] = bil2[j][i] = -max(norm2[i], norm2[j])
+    cartan = [[_exact_div(2 * bil2[i][j], bil2[j][j]) for j in range(n)]
+              for i in range(n)]
+    return tuple(tuple(row) for row in cartan), norm2, bil2
 
 
 DEGREES = {
@@ -303,8 +305,7 @@ class RootSystem:
     def __init__(self, rstype: RootSystemType):
         self.rstype = rstype
         self.rank = rstype.rank
-        self.cartan, self._simple_norm2, self._bil = _cartan_matrix(rstype)
-        self._bil2 = [[int(2 * x) for x in row] for row in self._bil]
+        self.cartan, self._simple_norm2, self._bil2 = _cartan_matrix(rstype)
         self.simples = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
         self.positive_roots = self._enumerate_positive()
         self.all_roots = self.positive_roots + [self._neg(r) for r in self.positive_roots]

@@ -26,9 +26,9 @@ from math import gcd, prod
 from . import nilorbits, report
 from .cases import CaseError, tabulated_cases
 from .hecke import (
-    HeckeError, L_Q, L_QINV, braid_classes, build_D_Dprime, ext_translation,
-    hecke_mul, length, omega_group, one_dim_character, verify_bernstein,
-    verify_translation_words,
+    EigenRelationError, L_Q, L_QINV, braid_classes,
+    build_D_Dprime, ext_translation, hecke_mul, length, omega_group,
+    one_dim_character, verify_bernstein, verify_translation_words,
 )
 from .nilorbits import NilOrbitError, admissible_primes
 from .partitions import PartitionError, check_inequalities, p, typeD_bound, typeD_count
@@ -463,7 +463,7 @@ def unit_spanning_sums(name):
     expected = {"terms": rs.weyl_order(), "eigen_relations": "verified"}
     try:
         d, dp = build_D_Dprime(rs)
-    except HeckeError as e:
+    except EigenRelationError as e:     # the rank cap is a refusal
         return [report.make_record(
             "hecke", f"{name}.ddprime", "eigen", f"spanning sums {name}",
             str(e), expected, {"eigen_relations": "failed"}, "fail")]

@@ -219,13 +219,26 @@ class GroupEnumeration:
         assert np.array_equal(sorted_keys[pos], keys)
         return rows[pos]
 
+    def _full_perms(self, lo: int, hi: int):
+        """Rows lo..hi-1 as whole root permutations, one int array row
+        each: w(root r) = sum_i r_i w(alpha_i), looked up by key."""
+        roots = _root_matrix(self.rs.rstype)
+        out = _root_indices(self.rs.rstype, roots @ roots[self.perms[lo:hi]])
+        assert (out >= 0).all()
+        return out
+
     def element(self, i: int) -> WeylElement:
-        images = [self.rs.all_roots[r] for r in self.perms[i]]
-        return WeylElement(self.rs, images)
+        perm = self._full_perms(i, i + 1)[0]
+        return WeylElement._of(self.rs, tuple(perm.tolist()))
 
     def __iter__(self):
-        for i in range(len(self)):
-            yield self.element(i)
+        """The elements in row order, their permutations built a chunk of
+        rows at a time."""
+        nroots = len(self.rs.all_roots)
+        step = max(1, _ROW_CHUNK // (nroots * self.rs.rank))
+        for lo in range(0, len(self), step):
+            for perm in self._full_perms(lo, lo + step).tolist():
+                yield WeylElement._of(self.rs, tuple(perm))
 
 
 _ENUM_CACHE: dict = {}
@@ -383,6 +396,32 @@ def irr_count(rs: RootSystem) -> int:
 
 
 @lru_cache(maxsize=None)
+def _root_keys(rstype):
+    """Roots looked up by an integer key over a box that holds every root
+    and every r + k*s the gathers form: (off, powers, the roots' sorted
+    keys, their root indices)."""
+    rs = build(rstype)
+    reach = 1 + max((abs(c) for i, row in enumerate(rs.cartan)
+                     for j, c in enumerate(row) if i != j), default=0)
+    roots = _root_matrix(rstype)
+    off = reach * int(roots.max())
+    powers = (2 * off + 1) ** np.arange(rs.rank, dtype=np.int64)
+    assert (2 * off + 1) ** rs.rank < 2 ** 62
+    root_keys = (roots + off) @ powers
+    by_key = np.argsort(root_keys)
+    return off, powers, root_keys[by_key], by_key
+
+
+def _root_indices(rstype, vecs):
+    """Root indices of the int64 coordinate vectors along the last axis of
+    vecs, -1 where a vector is not a root."""
+    off, powers, sorted_keys, by_key = _root_keys(rstype)
+    keys = (vecs + off) @ powers
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(by_key) - 1)
+    return np.where(sorted_keys[pos] == keys, by_key[pos], -1)
+
+
+@lru_cache(maxsize=None)
 def _gather_tables(rstype):
     """Per-type root-index tables for the gathers over group rows.
 
@@ -392,21 +431,10 @@ def _gather_tables(rstype):
     rs = build(rstype)
     ks = {-c for i, row in enumerate(rs.cartan) for j, c in enumerate(row)
           if i != j and c}
-    # vectors are looked up by an integer key over a box that holds every
-    # r + k*s; the roots' keys are sorted once
     roots = _root_matrix(rstype)
-    off = (1 + max(ks, default=0)) * int(roots.max())
-    powers = (2 * off + 1) ** np.arange(rs.rank, dtype=np.int64)
-    assert (2 * off + 1) ** rs.rank < 2 ** 62
-    root_keys = (roots + off) @ powers
-    by_key = np.argsort(root_keys)
-    sorted_keys = root_keys[by_key]
-    comb = {}
-    for k in sorted(ks):
-        keys = ((roots[:, None, :] + k * roots[None, :, :] + off) @ powers)
-        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(roots) - 1)
-        comb[k] = np.where(sorted_keys[pos] == keys, by_key[pos],
-                           -1).astype(np.int16)
+    comb = {k: _root_indices(rstype, roots[:, None, :] + k * roots[None, :, :]
+                             ).astype(np.int16)
+            for k in sorted(ks)}
     neg = np.array([rs.index[tuple(-x for x in a)] for a in rs.all_roots],
                    dtype=np.int16)
     refl = np.array([WeylElement.simple(rs, j).perm for j in range(rs.rank)],

@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from heckeverify import cli, report
+from heckeverify import cli, hecke, report
+from heckeverify.rootsystem import build, parse_type
 from heckeverify.verify import RunConfig, VerificationReport
 
 
@@ -199,6 +200,23 @@ def test_hecke_ddprime(capsys):
     # the same record as the sweep's B2.ddprime unit, product check included
     assert data[0]["claim_id"] == "B2.ddprime/eigen"
     assert data[0]["computed"]["product_zero"] is True
+
+
+def test_hecke_ddprime_over_the_cap_is_a_refusal(capsys):
+    # nothing is computed over the cap, so no claim can have failed
+    rc, out, err = run(capsys, "hecke", "--type", "E6", "--check", "ddprime")
+    assert rc == 2 and out == ""
+    assert "DD_RANK_CAP" in err
+
+
+def test_hecke_ddprime_relation_failure_is_a_failed_record(capsys, monkeypatch):
+    rs = build(parse_type("A1"))
+    monkeypatch.setattr(hecke, "hecke_mul",
+                        lambda a, b: hecke.HeckeElement(rs))
+    rc, data, _ = run_json(capsys, "hecke", "--type", "A1", "--check", "ddprime")
+    assert rc == 1
+    assert [r["status"] for r in data] == ["fail"]
+    assert "eigen-relation" in data[0]["statement"]
 
 
 def test_hecke_rank_cap(capsys):

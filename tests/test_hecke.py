@@ -18,6 +18,7 @@ import pytest
 
 from heckeverify import hecke
 from heckeverify.rootsystem import parse_type, build
+from heckeverify.verify import RunConfig, verify_all
 from heckeverify.weyl import WeylElement, enumerate_group
 from heckeverify.hecke import (
     HeckeError, Laurent, L_ONE, L_Q, L_QINV, L_QM1,
@@ -231,6 +232,116 @@ def test_tau_rotation():
 def test_no_rotation_without_a_center():
     with pytest.raises(HeckeError, match="rotation"):
         tau_rotation(parse_type("G2"))
+
+
+# ---------------------------------------------------------------------------
+# table fills by descent tests
+
+DESCENT_TYPES = ["A1", "A2", "B2", "G2", "B3", "C3", "F4", "B6"]
+
+
+def random_ext(rs, rng):
+    word = [rng.randrange(rs.rank) for _ in range(rng.randrange(16))]
+    return ExtAffine(WeylElement.from_word(rs, word),
+                     tuple(rng.randrange(-3, 4) for _ in range(rs.rank)))
+
+
+@pytest.mark.parametrize("name", DESCENT_TYPES)
+def test_descent_test_and_neighbours_match_the_group_law(name):
+    rng = random.Random(2422)
+    rs = rs_of(name)
+    g = hecke._interned(rs.rstype)
+    gens = affine_generators(rs.rstype)
+    for _ in range(40):
+        e = random_ext(rs, rng)
+        le = hecke._length(e)
+        k = g.id(e)
+        for i, r in enumerate(gens):
+            for left in (False, True):
+                prod = r * e if left else e * r
+                lp = hecke._length(prod)
+                assert abs(lp - le) == 1
+                assert g.descends(e, i, left) == (lp < le), (e, i, left)
+                s = g.step(k, i, left)
+                assert g.elems[s >> 1] == prod
+                assert g.lengths[s >> 1] == lp
+                assert s & 1 == (lp > le)
+
+
+def test_stored_lengths_after_units_equal_the_root_sum(monkeypatch):
+    monkeypatch.setattr(hecke, "_INTERNED", {})
+    for cached in (hecke._theta, hecke._theta_translated,
+                   hecke._basis_inverse):
+        cached.cache_clear()
+    cfg = RunConfig(cases=("hecke.characters", "A2.ball"))
+    assert all(r["status"] == "pass" for r in verify_all(cfg).records)
+    assert sum(len(g.elems) for g in hecke._INTERNED.values()) > 1000
+    for g in hecke._INTERNED.values():
+        for e, got in zip(g.elems, g.lengths):
+            assert got == hecke._length(e), e
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "F4"])
+def test_factor_is_a_reduced_word_after_a_length_zero_part(name):
+    rng = random.Random(1106)
+    rs = rs_of(name)
+    gens = affine_generators(rs.rstype)
+    for _ in range(25):
+        e = random_ext(rs, rng)
+        om, word = hecke._factor(e)
+        assert length(om) == 0
+        assert len(word) == length(e)
+        got = om
+        for j in word:
+            got = got * gens[j]
+        assert got == e
+
+
+# reduced words of t_{alpha_i}, i = 1..n, computed before table fills took
+# their lengths from the descent test; the length-zero part is the identity
+GOLDEN_WORDS = {
+    "B6": ("2345601234564534231201", "3456101234564534231012",
+           "4562101234564534210123", "5632101234564532101234",
+           "6432101234564321012345", "543210123456"),
+    "F4": ("2342304231234123042321", "3412304231234123042312",
+           "4231230432304123", "3231230432312304"),
+    "G2": ("201201", "1201212012"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORDS))
+def test_simple_root_translation_words_are_golden(name):
+    rs = rs_of(name)
+    for i, want in enumerate(GOLDEN_WORDS[name]):
+        om, word = hecke._factor(ext_translation(rs, rs.cartan[i]))
+        assert om.is_identity()
+        assert "".join(map(str, word)) == want
+
+
+def test_factor_walks_only_descents(monkeypatch):
+    rs = rs_of("F4")
+    g = hecke._Interned(rs.rstype)
+    k = g.id(ext_translation(rs, rs.cartan[0]))   # from outside: summed once
+
+    def refused(*args):
+        raise AssertionError("a table fill rebuilt an element")
+
+    monkeypatch.setattr(hecke, "_length", refused)
+    monkeypatch.setattr(ExtAffine, "__mul__", refused)
+    om, word = g.factor(k)
+    assert g.elems[om].is_identity() and len(word) == g.lengths[k] == 22
+    # the descent chain and nothing else: the chain ends at the identity,
+    # which was interned first
+    assert len(g.elems) == 1 + len(word)
+    assert all(s == -1 for table in g.steps[True] for s in table)
+    filled = [s for table in g.steps[False] for s in table if s >= 0]
+    assert len(filled) == len(word)
+    assert all(s & 1 == 0 for s in filled)
+    # every other fill, on either side, stays off the group law too
+    for i in range(rs.rank + 1):
+        for left in (False, True):
+            s = g.step(k, i, left)
+            assert g.lengths[s >> 1] == 22 + (1 if s & 1 else -1)
 
 
 # ---------------------------------------------------------------------------

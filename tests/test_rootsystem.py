@@ -9,7 +9,7 @@ import pytest
 from heckeverify import rootsystem
 from heckeverify.rootsystem import (
     RootSystemError, RootSystemType, StructureConstants, build,
-    component_labels, components, degrees_of, parse_type,
+    _dynkin_data, component_labels, components, degrees_of, parse_type,
     structure_constants,
 )
 
@@ -268,9 +268,18 @@ def test_epsilon_to_root_edge_cases():
 @pytest.mark.parametrize("t", ["B4", "C4", "F4", "G2", "E8"])
 def test_cached_norms_equal_the_form(t):
     rs = build(parse_type(t))
+    # the form from the Dynkin data alone: (alpha_i, alpha_i) is the simple
+    # norm, a bond of m lines joins norms a and b = m*a with
+    # (alpha_i, alpha_j) = -m*a/2 = -b/2, and unjoined roots are orthogonal
+    edges, norms = _dynkin_data(rs.rstype)
+    bil = [[Fraction(0)] * rs.rank for _ in range(rs.rank)]
+    for i in range(rs.rank):
+        bil[i][i] = Fraction(norms[i])
+    for i, j in edges:
+        bil[i][j] = bil[j][i] = -Fraction(max(norms[i], norms[j]), 2)
 
     def form(v):
-        return sum((a * b * rs._bil[i][j] for i, a in enumerate(v)
+        return sum((a * b * bil[i][j] for i, a in enumerate(v)
                     for j, b in enumerate(v)), Fraction(0))
 
     for r in rs.all_roots:
