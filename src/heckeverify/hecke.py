@@ -268,7 +268,7 @@ class _Interned:
         perm, x = elem.w.perm, elem.x
         wall = self.walls[i]
         if left:
-            r = perm.index(wall)        # the root w^{-1}(alpha_j) or w^{-1}(beta)
+            r = perm.index(wall)    # w^{-1}(alpha_j) or w^{-1}(beta)
             p = sum(map(mul, x, self.coroots[r]))
             if i:
                 return p < 0 or p == 0 and r >= self.npos
@@ -396,7 +396,8 @@ def affine_generators(rstype):
     minus_beta = tuple(-rs.pairing(beta, j) for j in range(rs.rank))
     gens[0] = ExtAffine(WeylElement(rs, images), minus_beta)
     for g in gens:
-        # _length, not length: the type's _Interned table reads these
+        # _length, not length: building the type's _Interned table reads
+        # these generators, so they cannot be interned while being built
         assert _length(g) == 1
     return tuple(gens)
 

@@ -70,6 +70,19 @@ def test_elements_carry_correct_lengths():
             assert g.element(i).length() == int(g.lengths[i]), (name, i)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_iteration_builds_the_constructors_permutations(name):
+    # iteration builds whole permutations a chunk of rows at a time; the
+    # constructor goes through the images' coordinates and rs.index
+    rs = rs_of(name)
+    g = enumerate_group(rs)
+    want = [WeylElement(rs, [rs.all_roots[r] for r in row]).perm
+            for row in g.perms]
+    assert [w.perm for w in g] == want
+    assert [g.element(i).perm for i in (0, len(g) // 2, len(g) - 1)] == [
+        want[0], want[len(g) // 2], want[-1]]
+
+
 def test_lookup_roundtrip():
     g = enumerate_group(rs_of("B3"))
     rows = g.lookup(g.perms[::7])
