@@ -13,26 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import cases, nilorbits, report
-from .cases import CaseError
-from .hecke import HeckeError, verify_bernstein, verify_translation_words
-from .nilorbits import NilOrbitError
-from .partitions import PartitionError, check_inequalities, p, typeD_bound, typeD_count
-from .rootsystem import RootSystemError, build, parse_type
+from .hecke import verify_bernstein, verify_translation_words
+from .partitions import check_inequalities, p, typeD_bound, typeD_count
+from .rootsystem import build, parse_type
 from .torus import (
-    TorusError, centralizer_roots, centralizer_signature, mixed_point,
-    standard_point,
+    centralizer_roots, centralizer_signature, mixed_point, standard_point,
 )
 from .verify import (
-    ConfigError, RunConfig, config_from_file, unit_spanning_sums, verify_all,
+    REFUSALS, ConfigError, RunConfig, config_from_dict, config_from_file,
+    unit_spanning_sums, verify_all,
 )
-from .weyl import WeylBudgetError, irr_count, poincare, valid_orders
-
-_USAGE_ERRORS = (ConfigError, RootSystemError, TorusError, NilOrbitError,
-                 HeckeError, CaseError, PartitionError, WeylBudgetError,
-                 report.ReportError, ValueError)
+from .weyl import irr_count, poincare, valid_orders
 
 
 def _print_json(obj):
@@ -200,19 +194,10 @@ def cmd_verify(args):
     config = RunConfig()
     if args.config:
         config = config_from_file(args.config, config)
-    overrides = {}
-    if args.case:
-        overrides["cases"] = tuple(args.case)
-    for flag, key in (("format", "fmt"), ("jobs", "jobs"),
-                      ("prime_bound", "prime_bound"), ("dim_cap", "dim_cap"),
-                      ("state_budget", "state_budget"),
-                      ("enum_budget", "enum_budget"),
-                      ("ball_radius", "ball_radius")):
-        val = getattr(args, flag)
-        if val is not None:
-            overrides[key] = val
-    if overrides:
-        config = replace(config, **overrides).validate()
+    # each flag's dest is its RunConfig field; a flag given wins over the file
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    config = config_from_dict(
+        {k: v for k, v in flags.items() if v is not None}, config)
     rep = verify_all(config)
     sys.stdout.buffer.write(report.emit(rep.records, config.fmt))
     sys.stdout.buffer.flush()
@@ -276,11 +261,11 @@ def build_parser():
     q.set_defaults(func=cmd_hecke)
 
     q = sub.add_parser("verify", help="run the whole verification sweep")
-    q.add_argument("--case", action="append", metavar="ID",
+    q.add_argument("--case", action="append", dest="cases", metavar="ID",
                    help="restrict to one case id (repeatable), e.g. E8.o16")
     q.add_argument("--config", metavar="FILE",
                    help="JSON configuration file; flags override it")
-    q.add_argument("--format", choices=("json", "text"))
+    q.add_argument("--format", choices=("json", "text"), dest="fmt")
     q.add_argument("--jobs", type=int, metavar="N")
     q.add_argument("--prime-bound", type=int, dest="prime_bound")
     q.add_argument("--dim-cap", type=int, dest="dim_cap")
@@ -295,7 +280,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as e:
+    except (*REFUSALS, ValueError) as e:
         print(f"hecke-verify: {e}", file=sys.stderr)
         return 2
 

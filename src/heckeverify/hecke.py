@@ -429,7 +429,8 @@ def omega_group(rstype):
             if not g.descends(e, 0, False):
                 out.append(e)
     if len(out) != target:
-        raise HeckeError(
+        # a wrong count, not an input refused
+        raise AssertionError(
             f"found {len(out)} length-zero elements in {rstype}, "
             f"expected {target}")
     out.sort(key=lambda e: (e.x, e.w.images))
@@ -448,7 +449,10 @@ def tau_rotation(rstype):
 
     In this module's apply-right-first composition its conjugation sends
     r_{i+1} to r_i (indices mod n+1); read with composition in the opposite
-    order that is the usual shift of every generator index up by one."""
+    order that is the usual shift of every generator index up by one.  Only
+    type A has one: its affine diagram is the only cycle."""
+    if rstype.family != "A":
+        raise HeckeError(f"no one-step diagram rotation in {rstype}")
     gens = affine_generators(rstype)
     n1 = len(gens)
     for om in omega_group(rstype):
@@ -457,7 +461,8 @@ def tau_rotation(rstype):
         inv = om.inverse()
         if all(om * gens[(i + 1) % n1] * inv == gens[i] for i in range(n1)):
             return om
-    raise HeckeError(f"no one-step diagram rotation in {rstype}")
+    # a wrong length-zero group, not an input refused
+    raise AssertionError(f"no one-step diagram rotation in {rstype}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ and the cross-check against the twisted table runs only in the tests.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -124,30 +125,28 @@ def decompose(nm: NilModule, sc=None):
 # finite-field counting
 
 
-def _sieve(limit):
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit ** 0.5) + 1):
-        if flags[i]:
-            flags[i * i::i] = bytearray(len(flags[i * i::i]))
-    return [i for i in range(limit + 1) if flags[i]]
-
-
 def _refuse_order(order):
     if order is None or order < 2:
         raise NilOrbitError("finite-field counting needs a finite order >= 2")
+
+
+def _admissible(p, order):
+    """p is a prime > 3 with p = 1 mod order, by trial division."""
+    return (p > 3 and p % order == 1
+            and all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 def admissible_primes(order: int, count: int = 2, limit: int = 2000):
     """The smallest primes p = 1 mod order, so the field of p elements
     contains an element of that multiplicative order."""
     _refuse_order(order)
-    found = [p for p in _sieve(limit) if p > 3 and p % order == 1]
+    found = list(islice((p for p in range(1, limit + 1, order)
+                         if _admissible(p, order)), count))
     if len(found) < count:
         raise NilOrbitError(
             f"fewer than {count} admissible primes p = 1 mod {order} "
             f"below {limit}")
-    return found[:count]
+    return found
 
 
 def check_order(rs: RootSystem, order: int):
@@ -162,8 +161,7 @@ def check_primes(order: int, primes):
     only across at least two distinct primes."""
     _refuse_order(order)
     for p in primes:
-        if (p <= 3 or p % order != 1
-                or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
+        if not _admissible(p, order):
             raise NilOrbitError(
                 f"{p} is not an admissible prime for order {order}: "
                 f"need a prime p > 3 with p = 1 mod {order}")

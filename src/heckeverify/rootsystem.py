@@ -373,7 +373,8 @@ class RootSystem:
     def _validate_counts(self):
         expected = sum(d - 1 for d in self.degrees)
         if len(self.positive_roots) != expected:
-            raise RootSystemError(
+            # a wrong enumeration, not an input refused
+            raise AssertionError(
                 f"{self.rstype}: enumerated {len(self.positive_roots)} positive roots, "
                 f"degree table demands {expected}")
 

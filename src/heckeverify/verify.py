@@ -9,9 +9,12 @@ identities); with --jobs they fan out to worker processes, but records are
 assembled in plan order, so the emitted report is byte-identical no matter
 how many workers ran.
 
-A unit failure never aborts the sweep: refusals from the library (budget,
-prime bound, enumeration size) turn into skipped records carrying the
-reason, anything else into a failed record.  A structural problem in the
+A unit failure never aborts the sweep: a refusal, one of the engine error
+classes in REFUSALS (a budget, a prime bound, an enumeration size or a rank
+cap the engine does not handle), turns into a skipped record carrying the
+reason, anything else into a failed record.  The command line treats the
+same classes as refusals.  An engine that finds a result contradicting the
+theory raises something else, so it fails.  A structural problem in the
 assembled report (say a duplicated claim id) adds one failed `report/lint`
 record; every record is still returned.
 """
@@ -21,20 +24,18 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 from . import nilorbits, report
 from .cases import CaseError, tabulated_cases
 from .hecke import (
-    EigenRelationError, L_Q, L_QINV, braid_classes,
+    EigenRelationError, HeckeError, L_Q, L_QINV, braid_classes,
     build_D_Dprime, ext_translation, hecke_mul, length, omega_group,
     one_dim_character, verify_bernstein, verify_translation_words,
 )
 from .nilorbits import NilOrbitError, admissible_primes
 from .partitions import PartitionError, check_inequalities, p, typeD_bound, typeD_count
-from .rootsystem import (
-    RootSystemError, build, parse_type, smith, structure_constants,
-)
+from .rootsystem import RootSystemError, build, parse_type, smith
 from .torus import (
     TorusError, count_one_dim_characters, standard_point,
     verify_mixed_nonconjugacy,
@@ -49,8 +50,9 @@ class ConfigError(ValueError):
     """Bad run configuration; the command line maps this to exit code 2."""
 
 
-_SKIP_ERRORS = (NilOrbitError, TorusError, WeylBudgetError, PartitionError,
-                CaseError, RootSystemError)
+# the engine error classes; each means "input not handled", never "wrong"
+REFUSALS = (NilOrbitError, TorusError, WeylBudgetError, PartitionError,
+            CaseError, RootSystemError, HeckeError)
 
 
 @dataclass(frozen=True)
@@ -164,23 +166,14 @@ def _expected_root_data(name):
     ty = parse_type(name)
     fam, n = ty.family, ty.rank
     if fam == "A":
-        fact = 1
-        for k in range(2, n + 2):
-            fact *= k
-        return {"roots": n * (n + 1), "order": fact, "center": n + 1,
-                "degrees": list(range(2, n + 2))}
+        return {"roots": n * (n + 1), "order": factorial(n + 1),
+                "center": n + 1, "degrees": list(range(2, n + 2))}
     if fam in ("B", "C"):
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
-        return {"roots": 2 * n * n, "order": (2 ** n) * fact, "center": 2,
-                "degrees": list(range(2, 2 * n + 1, 2))}
+        return {"roots": 2 * n * n, "order": (2 ** n) * factorial(n),
+                "center": 2, "degrees": list(range(2, 2 * n + 1, 2))}
     if fam == "D":
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
-        return {"roots": 2 * n * (n - 1), "order": (2 ** (n - 1)) * fact,
-                "center": 4,
+        return {"roots": 2 * n * (n - 1),
+                "order": (2 ** (n - 1)) * factorial(n), "center": 4,
                 "degrees": sorted(list(range(2, 2 * n - 1, 2)) + [n])}
     return {"roots": EXC_ROOTS[name], "order": EXC_ORDERS[name],
             "center": EXC_CENTER[name], "degrees": list(EXC_DEGREES[name])}
@@ -590,7 +583,7 @@ def _run_entry(entry):
     stage, case, unit, args = entry
     try:
         return UNITS[unit](*args)
-    except _SKIP_ERRORS as e:
+    except REFUSALS as e:
         return [report.make_record(stage, case, "refused",
                                    f"unit {unit} {case}", str(e),
                                    None, None, "skipped")]
@@ -630,16 +623,6 @@ def verify_all(config: RunConfig = None) -> VerificationReport:
             raise ConfigError(f"unknown case ids: {', '.join(missing)}")
         plan = [e for e in plan if e[1] in config.cases]
     if config.jobs > 1 and len(plan) > 1:
-        # warm the per-type caches before the pool forks, so every worker
-        # inherits built root systems and, for orbit cases, the one
-        # structure-constant table instead of rebuilding them
-        for _, _, unit, args in plan:
-            if unit in ("orbit-case", "regular-count", "class-count",
-                        "mixed-nonconjugacy", "character-counts"):
-                ty = parse_type(args[0])
-                build(ty)
-                if unit == "orbit-case":
-                    structure_constants(ty)
         # fork starts every worker at once, so no more than there are units
         workers = min(config.jobs, len(plan))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -31,6 +31,13 @@ def test_parse_and_validate():
         RootSystemType("D", 3)
 
 
+def test_wrong_positive_root_count_is_a_failure_not_a_refusal(monkeypatch):
+    # A2 has 3 positive roots; degrees (2, 4) demand 4
+    monkeypatch.setattr(rootsystem, "degrees_of", lambda rstype: (2, 4))
+    with pytest.raises(AssertionError, match="degree table demands 4"):
+        rootsystem.RootSystem(parse_type("A2"))
+
+
 def test_components_isolated_vertices_and_repeated_edges():
     edges = [(4, 1), (1, 4), (1, 4), (2, 2), (5, 1), (4, 5)]
     assert components(6, edges) == [[0], [1, 4, 5], [2], [3]]

@@ -21,7 +21,9 @@ import json
 import pytest
 
 from heckeverify import cases, hecke, nilorbits, report, verify
-from heckeverify.rootsystem import StructureConstants, build, structure_constants
+from heckeverify.rootsystem import (
+    RootSystem, StructureConstants, build, structure_constants,
+)
 from heckeverify.verify import (
     ConfigError, RunConfig, config_from_dict, config_from_file, verify_all,
 )
@@ -127,7 +129,9 @@ def test_selected_run_is_deterministic():
 
 
 def test_parallel_matches_serial():
-    cases = ("A2.roots", "G2.roots", "partitions.values", "G2.m4")
+    # the orbit, class and ball units build their tables in the workers
+    cases = ("A2.roots", "G2.roots", "partitions.values", "G2.m4",
+             "E6.o7", "D4.o5", "B3.classes", "A2.ball")
     serial = verify_all(RunConfig(cases=cases))
     forked = verify_all(RunConfig(cases=cases, jobs=2))
     assert report.emit(serial.records, "json") == \
@@ -164,6 +168,43 @@ def test_raising_unit_becomes_one_failed_record(monkeypatch):
     assert rep.failures == (err,)
     assert rep.exit_code == 1
     assert report.emit(rep.records)
+
+
+@pytest.mark.parametrize("entry", [
+    ("hecke", "E6.ddprime", "spanning-sums", ("E6",)),
+    ("hecke", "A3.ball", "theta-ball", ("A3", 2)),
+])
+def test_engine_rank_cap_is_a_refusal(entry):
+    case = entry[1]
+    records = verify._run_entry(entry)
+    assert [(r["claim_id"], r["status"]) for r in records] == \
+        [(f"{case}/refused", "skipped")]
+    assert "cap" in records[0]["statement"]
+
+
+def test_wrong_omega_count_is_a_failure_not_a_refusal(monkeypatch):
+    # one more than the center order: the length-zero count contradicts it
+    real = RootSystem.center_order
+    monkeypatch.setattr(RootSystem, "center_order",
+                        lambda self: real(self) + 1)
+    hecke.omega_group.cache_clear()
+    records = verify._run_entry(("hecke", "omega", "omega-sizes", ()))
+    hecke.omega_group.cache_clear()
+    assert [(r["claim_id"], r["status"]) for r in records] == \
+        [("omega/error", "fail")]
+    assert records[0]["computed"].startswith(
+        "AssertionError: found 2 length-zero elements in A1, expected 3")
+
+
+def test_missing_type_a_rotation_is_a_failure_not_a_refusal(monkeypatch):
+    real = hecke.omega_group
+    monkeypatch.setattr(hecke, "omega_group", lambda rstype: tuple(
+        om for om in real(rstype) if om.is_identity()))
+    records = verify._run_entry(("hecke", "words", "translation-words", ()))
+    assert [(r["claim_id"], r["status"]) for r in records] == \
+        [("words/error", "fail")]
+    assert records[0]["computed"] == \
+        "AssertionError: no one-step diagram rotation in A1"
 
 
 def test_theta_ball_counts_every_failing_pair(monkeypatch):
@@ -289,8 +330,9 @@ FULL_REPORT_SHA256 = \
     "2c1fdbd8deb22d7e379b31fd2fa3b9beb428b00333266d24d63b925bc36476f1"
 
 
-# --jobs 2 first, so that its workers start from cold caches and the
-# serial run after it finds only what the pre-fork warm-up cached
+# --jobs 2 first, so that its workers inherit only what this process has
+# cached so far (planning builds the root systems it reads) and build every
+# other table themselves; the serial run after it builds them here
 @pytest.mark.slow
 @pytest.mark.parametrize("jobs", [2, 1])
 def test_full_report_is_pinned(jobs):
