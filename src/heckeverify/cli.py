@@ -2,10 +2,12 @@
 
 One binary with a subcommand per module and `verify` to run the whole
 sweep.  Inspection subcommands print JSON (or plain text where noted) and
-exit 0.  Checking subcommands (`orbits` without `--joint`, `hecke`) print
-the report records of the matching sweep units, in the one record shape
-`verify` emits, and exit 1 when any claim fails; configuration problems,
-including bad arguments and library refusals, exit 2.
+exit 0.  Checking subcommands (`orbits`, `hecke`) print the report records
+of the matching sweep units, in the one record shape `verify` emits, and
+exit 1 when any claim fails; `orbits --joint` prints one grouping's counts
+and exits 1 when the components do not match the case table.
+Configuration problems, including bad arguments and library refusals,
+exit 2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .torus import (
 )
 from .verify import (
     REFUSALS, ConfigError, RunConfig, config_from_dict, config_from_file,
-    unit_spanning_sums, verify_all,
+    positive_int, unit_spanning_sums, verify_all,
 )
 from .weyl import irr_count, poincare, valid_orders
 
@@ -125,49 +127,33 @@ def cmd_torus(args):
 
 
 def cmd_orbits(args):
-    primes = _int_list(args.primes) if args.primes else None
-    if args.joint:
-        picks = _int_list(args.joint)
-        rs = build(parse_type(args.type))
-        if primes is None:
-            primes = nilorbits.admissible_primes(args.order)
-        nilorbits.check_primes(args.order, primes)
-        nm = nilorbits.build_nqs(rs, standard_point(rs, args.order))
-        nilorbits.check_order(rs, args.order)
-        table = cases.case_table(rs.rstype, args.order)
-        named = nilorbits.named_components(table, nilorbits.decompose(nm))
-        # indices name the recorded modules M1, M2, ... or, with no
-        # detailed table, the components C1, C2, ...
-        recorded = table is not None and table.detailed
-        names = [f"{'M' if recorded else 'C'}{i}" for i in picks]
-        for i, name in zip(picks, names):
-            if name in named:
-                continue
-            if recorded:
-                raise ConfigError(
-                    f"--joint index {i}: no module {name} on record "
-                    f"for {rs.rstype}.o{args.order}")
-            raise ConfigError(
-                f"--joint index {i} out of range; the decomposition "
-                f"has {len(named)} submodules")
-        subs = [named[name] for name in names]
-        counts = [(q, nilorbits.orbit_count_ff(
-                      nm, subs, q, cap=args.cap,
-                      state_budget=args.state_budget).count)
-                  for q in primes]
-        _print_json({
-            "case": f"{rs.rstype}.o{args.order}",
-            "modules": names,
-            "dim": sum(s.dim for s in subs),
-            "counts": {str(q): c for q, c in counts},
-            "stable": len({c for _, c in counts}) == 1,
-        })
-        return 0
-    records = nilorbits.verify_case(args.type, args.order, primes=primes,
-                                    cap=args.cap,
-                                    state_budget=args.state_budget)
-    _print_json(records)
-    return 1 if any(r["status"] == "fail" for r in records) else 0
+    primes = None if args.primes is None else _int_list(args.primes)
+    cap = positive_int("cap", args.cap)
+    budget = positive_int("state_budget", args.state_budget)
+    if args.joint is None:
+        records = nilorbits.verify_case(args.type, args.order, primes=primes,
+                                        cap=cap, state_budget=budget)
+        _print_json(records)
+        return 1 if any(r["status"] == "fail" for r in records) else 0
+    # indices name the recorded modules M1, M2, ... or, with no detailed
+    # table, the components C1, C2, ...
+    table = cases.case_table(args.type, args.order)
+    prefix = "M" if table is not None and table.detailed else "C"
+    names = tuple(f"{prefix}{i}" for i in _int_list(args.joint))
+    bound = nilorbits.case_bound(args.type, args.order, primes=primes,
+                                 cap=cap, state_budget=budget,
+                                 groupings=(names,))
+    (group,) = bound.groups
+    if group.refusal is not None:
+        raise nilorbits.NilOrbitError(group.refusal)
+    _print_json({
+        "case": bound.case,
+        "modules": group.modules,
+        "dim": group.dim,
+        "counts": {str(q): c for q, c in group.counts},
+        "stable": group.stable,
+    })
+    return 0
 
 
 def cmd_hecke(args):
@@ -280,6 +266,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except nilorbits.ComponentMismatch as e:   # a wrong result, not a refusal
+        print(f"hecke-verify: {e}", file=sys.stderr)
+        return 1
     except (*REFUSALS, ValueError) as e:
         print(f"hecke-verify: {e}", file=sys.stderr)
         return 2

@@ -70,6 +70,10 @@ class RootSystemType:
     def __str__(self):
         return f"{self.family}{self.rank}"
 
+    @property
+    def degrees(self):
+        return degrees_of(self)
+
 
 def parse_type(text: str) -> RootSystemType:
     """Parse 'E8', 'B4', ... into a validated RootSystemType."""

@@ -55,6 +55,13 @@ REFUSALS = (NilOrbitError, TorusError, WeylBudgetError, PartitionError,
             CaseError, RootSystemError, HeckeError)
 
 
+def positive_int(name, v):
+    """v, refused unless it is a positive integer."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class RunConfig:
     prime_bound: int = 2000
@@ -69,10 +76,7 @@ class RunConfig:
     def validate(self):
         for name in ("prime_bound", "dim_cap", "state_budget",
                      "enum_budget", "ball_radius", "jobs"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, "
-                                  f"got {v!r}")
+            positive_int(name, getattr(self, name))
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"format must be 'json' or 'text', "
                               f"got {self.fmt!r}")
@@ -547,8 +551,7 @@ def _plan(config: RunConfig):
     out.append(("partitions", "partitions.inequalities",
                 "partition-inequalities", (500, 60)))
     for n in range(2, 9):
-        rs = build(parse_type(f"B{n}"))
-        for m in sorted(m for m in valid_orders(rs) if m % 2):
+        for m in sorted(m for m in valid_orders(parse_type(f"B{n}")) if m % 2):
             out.append(("torus", f"B{n}.m{m}", "mixed-nonconjugacy",
                         (f"B{n}", m, config.enum_budget)))
     for name, orders in MIXED_EXTRA.items():
@@ -556,7 +559,7 @@ def _plan(config: RunConfig):
             out.append(("torus", f"{name}.m{m}", "mixed-nonconjugacy",
                         (name, m, config.enum_budget)))
     for name in CHARACTER_TYPES:
-        m = min(valid_orders(build(parse_type(name))))
+        m = min(valid_orders(parse_type(name)))
         out.append(("torus", f"{name}.characters", "character-counts",
                     (name, m, config.enum_budget)))
     for name, order in tabulated_cases():

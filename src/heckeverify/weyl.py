@@ -367,10 +367,11 @@ def vanishes_by_degrees(rs: RootSystem, m) -> bool:
     return any(d % m == 0 for d in rs.degrees)
 
 
-def valid_orders(rs: RootSystem):
+def valid_orders(rs):
     """Finite orders of q at which the Poincare polynomial does not vanish,
-    up to the largest exponent of the group."""
-    top = rs.max_exponent()
+    up to the largest exponent of the group.  Reads only the degrees, so a
+    RootSystemType will do as well as a RootSystem."""
+    top = max(rs.degrees) - 1
     return {m for m in range(2, top + 1) if not poincare_vanishes(rs, m)}
 
 

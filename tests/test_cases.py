@@ -177,6 +177,7 @@ def test_e8_o16_recorded_representative_list_double_counts_one_orbit():
     rs, nm = nil("E8", 16)
     table = case_table("E8", 16)
     sc = structure_constants(rs.rstype)
+    nm = no.build_nqs(rs, standard_point(rs, 16), sc)
     a3, x1 = table.root("a3"), table.root("x1")
     me2 = table.root("-e2")
     assert me2 == tuple(a - b for a, b in zip(a3, x1))
@@ -186,13 +187,13 @@ def test_e8_o16_recorded_representative_list_double_counts_one_orbit():
     a1 = table.root("a1")
     assert not rs.is_root(tuple(a - b for a, b in zip(a1, x1)))
 
-    parts = no.decompose(nm, sc)
+    parts = no.decompose(nm)
     comp = {frozenset(p.support): p for p in parts}
     subs = [comp[table.module_support("M1")], comp[table.module_support("M3")]]
     recorded_eight = [(), ("a1",), ("a3",), ("a3", "a8"), ("a1", "a3"),
                       ("a1", "a3", "a8"), ("a1", "-e2"), ("a1", "a3", "-e2")]
     reps8 = [tuple(table.root(lbl) for lbl in rep) for rep in recorded_eight]
-    closure = no.orbit_count_ff(nm, subs, 17, sc=sc)
+    closure = no.orbit_count_ff(nm, subs, 17)
     assert not no.representatives_distinct(closure, reps8)
     kept = table.groupings[0].representatives
     assert len(kept) == 7

@@ -5,11 +5,12 @@ the documented exit codes: 0 all pass, 1 any failed claim, 2 bad
 configuration or a library refusal.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from heckeverify import cli, hecke, report
+from heckeverify import cases, cli, hecke, report
 from heckeverify.rootsystem import build, parse_type
 from heckeverify.verify import RunConfig, VerificationReport
 
@@ -165,6 +166,46 @@ def test_orbits_joint_names_plain_table_components(capsys):
     rc, _, err = run(capsys, "orbits", "E6", "--order", "10",
                      "--joint", "1,99")
     assert rc == 2 and "out of range" in err and "6 submodules" in err
+
+
+def test_orbits_joint_table_mismatch_exits_one(capsys, monkeypatch):
+    real = cases.case_table
+
+    def moved_label(rstype, order):
+        table = real(rstype, order)
+        if table is None or table.case_id != "E6.o7":
+            return table
+        # move one root from the first recorded module to the second
+        (m1, first), (m2, second) = list(table.modules.items())[:2]
+        modules = dict(table.modules, **{m1: first[1:],
+                                         m2: second + first[:1]})
+        return dataclasses.replace(table, modules=modules)
+
+    monkeypatch.setattr(cases, "case_table", moved_label)
+    rc, out, err = run(capsys, "orbits", "E6", "--order", "7", "--joint", "1")
+    assert rc == 1 and out == ""
+    assert "component mismatch for E6.o7" in err
+
+
+def test_orbits_rejects_repeated_or_empty_picks(capsys):
+    rc, out, err = run(capsys, "orbits", "E6", "--order", "7",
+                       "--joint", "1,1")
+    assert rc == 2 and out == "" and "M1 names a module twice" in err
+    rc, out, err = run(capsys, "orbits", "E6", "--order", "7", "--joint", "")
+    assert rc == 2 and out == "" and "empty grouping" in err
+    rc, out, err = run(capsys, "orbits", "E6", "--order", "7", "--primes", "")
+    assert rc == 2 and out == "" and "at least two distinct primes" in err
+
+
+@pytest.mark.parametrize("flag,name,value", [
+    ("--cap", "cap", "0"), ("--state-budget", "state_budget", "-5")])
+@pytest.mark.parametrize("joint", [(), ("--joint", "1")])
+def test_orbits_cap_and_budget_must_be_positive(capsys, flag, name, value,
+                                                joint):
+    rc, out, err = run(capsys, "orbits", "E6", "--order", "7", flag, value,
+                       *joint)
+    assert rc == 2 and out == ""
+    assert f"{name} must be a positive integer, got {value}" in err
 
 
 def test_hecke_words(capsys):

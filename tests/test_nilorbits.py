@@ -10,6 +10,7 @@ from heckeverify.nilorbits import (NilOrbitError, admissible_primes, build_nqs,
                                    representatives_distinct, verify_case)
 from heckeverify.rootsystem import build, parse_type, structure_constants
 from heckeverify.torus import standard_point
+from heckeverify.verify import REFUSALS
 from heckeverify.weyl import valid_orders
 
 
@@ -98,10 +99,32 @@ def test_decompose_components_cover_the_basis():
 
 
 def test_decompose_is_sign_convention_independent():
-    rs, nm = nil("E7", 11)
-    a = decompose(nm, structure_constants(rs.rstype, "extraspecial"))
-    b = decompose(nm, structure_constants(rs.rstype, "twisted"))
+    rs = build(parse_type("E7"))
+    s = standard_point(rs, 11)
+    a = decompose(build_nqs(rs, s, structure_constants(rs.rstype, "extraspecial")))
+    b = decompose(build_nqs(rs, s, structure_constants(rs.rstype, "twisted")))
     assert a == b
+
+
+@pytest.mark.parametrize("convention", ["extraspecial", "twisted"])
+@pytest.mark.parametrize("rstype,order", [("E6", 7), ("E8", 16)])
+def test_bracket_table_is_the_structure_constants(rstype, order, convention):
+    rs = build(parse_type(rstype))
+    sc = structure_constants(rs.rstype, convention)
+    nm = build_nqs(rs, standard_point(rs, order), sc)
+    assert len(nm.bracket) == len(nm.unipotent_generators)
+    hits = 0
+    for gamma, row in zip(nm.unipotent_generators, nm.bracket):
+        assert len(row) == nm.dim
+        for beta, hit in zip(nm.basis_roots, row):
+            summed = tuple(x + y for x, y in zip(beta, gamma))
+            if hit is None:
+                assert not rs.is_root(summed) and sc.n(gamma, beta) == 0
+                continue
+            hits += 1
+            assert nm.basis_roots[hit[0]] == summed
+            assert hit[1] == sc.n(gamma, beta) != 0
+    assert hits
 
 
 def test_decompose_at_infinite_order_gives_singletons():
@@ -155,11 +178,12 @@ def test_counts_are_prime_independent():
 def test_counts_are_sign_convention_independent():
     rs, nm = nil("E7", 11)
     parts = decompose(nm)
+    s = standard_point(rs, 11)
+    extra = build_nqs(rs, s, structure_constants(rs.rstype, "extraspecial"))
+    twist = build_nqs(rs, s, structure_constants(rs.rstype, "twisted"))
     for p in parts:
-        a = orbit_count_ff(nm, [p], 23,
-                           sc=structure_constants(rs.rstype, "extraspecial"))
-        b = orbit_count_ff(nm, [p], 23,
-                           sc=structure_constants(rs.rstype, "twisted"))
+        a = orbit_count_ff(extra, [p], 23)
+        b = orbit_count_ff(twist, [p], 23)
         assert a.count == b.count
 
 
@@ -333,6 +357,47 @@ def test_case_bound_rejects_invalid_orders():
         case_bound("E6", 13)
     with pytest.raises(NilOrbitError, match="valid order"):
         case_bound("A3", 3)
+
+
+def test_case_bound_order_refusals_name_their_reason():
+    for rstype, order, reason in [
+            ("E6", 1, "order 1 makes the (q-1) factor vanish"),
+            ("A3", 3, "Poincare sum of A3 vanishes"),
+            ("E6", 5, "Poincare sum of E6 vanishes"),
+            ("E6", 13, "largest exponent 11"),
+            ("E6", 0, "largest exponent 11")]:
+        with pytest.raises(NilOrbitError, match="valid order") as err:
+            case_bound(rstype, order)
+        assert reason in str(err.value)
+
+
+def test_case_bound_checks_the_order_before_the_primes():
+    with pytest.raises(NilOrbitError, match="not a valid order"):
+        case_bound("E6", 13, primes=[5])
+    with pytest.raises(NilOrbitError, match="5 is not an admissible prime"):
+        case_bound("E6", 7, primes=[5, 29])
+
+
+def test_case_bound_counts_a_given_grouping():
+    cb = case_bound("E8", 16, groupings=(("M1", "M3"),))
+    (g,) = cb.groups
+    assert g.modules == ("M1", "M3") and g.dim == 6
+    assert g.counts == ((17, 7), (97, 7)) and g.stable
+    # a recorded grouping keeps its expected count and representatives
+    assert g.expected == 7 and g.distinct is True
+    assert cb.product == 7 and cb.case == "E8.o16"
+
+
+def test_case_bound_refuses_bad_groupings():
+    for groupings, words in [(((),), "empty"),
+                             ((("M1", "M1"),), "names a module twice"),
+                             ((("M9",),), "M9 out of range")]:
+        with pytest.raises(ValueError, match=words):
+            case_bound("E6", 7, groupings=groupings)
+
+
+def test_component_mismatch_is_not_a_refusal():
+    assert not issubclass(no.ComponentMismatch, (*REFUSALS, ValueError))
 
 
 def test_case_bound_e8_with_refused_groups_has_no_product():

@@ -319,6 +319,14 @@ def test_jobs_start_at_most_one_worker_per_unit(monkeypatch):
     assert [r["status"] for r in rep.records] == ["pass", "pass"]
 
 
+def test_planning_builds_no_root_system(monkeypatch):
+    built = []
+    real = verify.build
+    monkeypatch.setattr(verify, "build", lambda t: built.append(t) or real(t))
+    assert verify._plan(RunConfig())
+    assert built == []
+
+
 def test_plan_uses_every_unit_and_unique_case_ids():
     plan = verify._plan(RunConfig())
     assert {unit for _, _, unit, _ in plan} == set(verify.UNITS)

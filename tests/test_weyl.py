@@ -255,6 +255,15 @@ def test_valid_orders_type_bc(n):
         assert valid_orders(rs_of(f"C{n}")) == want
 
 
+@pytest.mark.parametrize("name", ["A4", "B5", "C6", "D7", "E6", "E7", "E8",
+                                  "F4", "G2"])
+def test_valid_orders_read_only_the_degrees(name):
+    # a type alone carries its degrees, so no root system need be built
+    ty = parse_type(name)
+    assert ty.degrees == rs_of(name).degrees
+    assert valid_orders(ty) == valid_orders(rs_of(name))
+
+
 # ---------------------------------------------------------------------------
 # irreducible character counts
 
