@@ -16,7 +16,31 @@ in Weyl groups", Invent. Math. 116, 1994): every w != 1 has a least right
 descent j, and its parent is w s_j, one shorter.  So the children of x are
 the x s_j with x(alpha_j) > 0 whose least right descent is j, that is,
 with (x s_j)(alpha_i) > 0 for every i < j.  Every element is produced
-exactly once, at depth equal to its Coxeter length, with no dedupe.
+exactly once, at depth equal to its Coxeter length, with no dedupe, and
+each row records its parent p and that descent k: z = p s_k.
+
+The class count multiplies rows by the tree, with no search for a row.
+The right table R[j, z] = z s_j is filled one length l at a time:
+
+* the tree edges give R_k[z] = p and R_k[p] = z;
+* any other right descent i of z (z(alpha_i) < 0) makes z the longest
+  element of its coset z W_{ik} for the dihedral W_{ik} of order 2 m_ik
+  (Bjorner-Brenti, "Combinatorics of Coxeter Groups", 2.3 and 3.4):
+  z = u w_0 with u minimal and l(z) = l(u) + m_ik.  So z s_i = p s_k s_i
+  = p (s_i s_k)^(m_ik - 1): from p = u (w_0 s_k), the first m_ik - 1
+  steps s_i, s_k, s_i, ... go down to u, and the next m_ik - 1 go up to
+  u (w_0 s_i), one shorter than z.  Every step is an entry of a row of
+  length below l whose neighbour is also below l; a downward entry was
+  set when its row was filled, an upward one when its neighbour was.  So
+  each length reads only lengths already done, and sets R_i[z] and
+  R_i[z s_i] from the end of the walk.
+
+Where s_j is not a right descent of z, R_j[z] is the upward entry of the
+longer row z s_j, set when that row was filled; so every entry is set,
+with a fixed number of numpy calls per length.  The left tables follow
+down the tree, s_j z = (s_j p) s_k, so L_j[z] = R_k[L_j[p]] with
+L_j[e] = R_j[e], and conjugation by s_j is L_j[R_j].  The tables are
+built for one class count and not kept.
 """
 
 from __future__ import annotations
@@ -190,15 +214,18 @@ class GroupEnumeration:
 
     perms[i] holds the root indices of the images of the simple roots
     under element i; lengths[i] is its Coxeter length.  Elements are
-    ordered by (length, key), which is deterministic.
+    ordered by (length, key), which is deterministic.  Every row but the
+    identity (row 0) is x s_k for its descent-tree parent x = parent[i],
+    one shorter, and its least right descent k = descent[i]; row 0 has
+    parent and descent -1.
     """
 
-    def __init__(self, rs: RootSystem, perms, lengths, powers):
+    def __init__(self, rs: RootSystem, perms, lengths, parent, descent):
         self.rs = rs
         self.perms = perms
         self.lengths = lengths
-        self._powers = powers
-        self._index = None      # sorted keys and their rows, for lookup
+        self.parent = parent
+        self.descent = descent
 
     def __len__(self):
         return self.perms.shape[0]
@@ -207,17 +234,10 @@ class GroupEnumeration:
         hist = np.bincount(self.lengths)
         return {int(l): int(c) for l, c in enumerate(hist) if c}
 
-    def lookup(self, perm_batch):
-        """Row indices of a (B, rank) batch of image tuples."""
-        if self._index is None:
-            keys = _keys(self.perms, self._powers)
-            rows = np.argsort(keys)
-            self._index = keys[rows], rows
-        sorted_keys, rows = self._index
-        keys = _keys(perm_batch, self._powers)
-        pos = np.searchsorted(sorted_keys, keys)
-        assert np.array_equal(sorted_keys[pos], keys)
-        return rows[pos]
+    def layers(self):
+        """(lo, hi) row ranges of the lengths 0, 1, ..., in order."""
+        bounds = np.cumsum(np.bincount(self.lengths)).tolist()
+        return list(zip([0] + bounds[:-1], bounds))
 
     def _full_perms(self, lo: int, hi: int):
         """Rows lo..hi-1 as whole root permutations, one int array row
@@ -263,24 +283,38 @@ def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumer
     powers = _key_powers(rs)
     npos = len(rs.positive_roots)     # root indices below npos are positive
     frontier = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
-    layers = [frontier]
+    layers, parents = [frontier], [np.array([-1])]
+    start = 0                         # the row of frontier[0]
     while frontier.shape[0]:
-        children = []
+        children, parent = [], []
         for j in range(rs.rank):
-            y = _right_mul(rs, frontier[frontier[:, j] < npos], j)
-            children.append(y[(y[:, :j] < npos).all(axis=1)])
-        # each length sorted by key: in tree order, the binary searches of
-        # lookup over whole conjugation tables are three times slower
+            rows = np.flatnonzero(frontier[:, j] < npos)
+            y = _right_mul(rs, frontier[rows], j)
+            least = (y[:, :j] < npos).all(axis=1)
+            children.append(y[least])
+            parent.append(rows[least])
+        # each length sorted by key, so rows keep the (length, key) order
+        # of the layer BFS this replaced: omega_group and iteration read
+        # rows in that order, and test_descent_tree_matches_layer_bfs
+        # pins it.  No row is looked up by key.
+        parent = start + np.concatenate(parent)
+        start += frontier.shape[0]
         frontier = np.concatenate(children)
-        frontier = frontier[np.argsort(_keys(frontier, powers))]
+        by_key = np.argsort(_keys(frontier, powers))
+        frontier = frontier[by_key]
         layers.append(frontier)
+        parents.append(parent[by_key])
     perms = np.concatenate(layers)
+    parent = np.concatenate(parents).astype(np.int32)
+    # the least right descent: the first simple root sent negative
+    descent = np.argmax(perms >= npos, axis=1).astype(np.int8)
+    descent[0] = -1
     lengths = np.repeat(np.arange(len(layers), dtype=np.int16),
                         [len(layer) for layer in layers])
     total = perms.shape[0]
     assert total == order, (total, order)
 
-    out = GroupEnumeration(rs, perms, lengths, powers)
+    out = GroupEnumeration(rs, perms, lengths, parent, descent)
     _ENUM_CACHE[rs.rstype] = out
     return out
 
@@ -428,7 +462,7 @@ def _gather_tables(rstype):
 
     comb[k][r, s] is the index of root r + k*s, or -1 when that is not a
     root, for each k = -C_ij over the nonzero off-diagonal Cartan entries;
-    neg[r] is the index of -r; refl[j] is the permutation of s_j."""
+    neg[r] is the index of -r."""
     rs = build(rstype)
     ks = {-c for i, row in enumerate(rs.cartan) for j, c in enumerate(row)
           if i != j and c}
@@ -438,9 +472,7 @@ def _gather_tables(rstype):
             for k in sorted(ks)}
     neg = np.array([rs.index[tuple(-x for x in a)] for a in rs.all_roots],
                    dtype=np.int16)
-    refl = np.array([WeylElement.simple(rs, j).perm for j in range(rs.rank)],
-                    dtype=np.int16)
-    return comb, neg, refl
+    return comb, neg
 
 
 def _right_mul(rs: RootSystem, x, j: int):
@@ -448,7 +480,7 @@ def _right_mul(rs: RootSystem, x, j: int):
 
     x s_j sends a_i to x(a_i) - C_ij x(a_j): one gather in a root
     combination table per Cartan entry (the negation table for i = j)."""
-    comb, neg, _ = _gather_tables(rs.rstype)
+    comb, neg = _gather_tables(rs.rstype)
     z = x.copy()
     for i in range(rs.rank):
         c = rs.cartan[i][j]
@@ -464,18 +496,61 @@ def _right_mul(rs: RootSystem, x, j: int):
 _ROW_CHUNK = 1 << 18
 
 
-def conjugation_table(group: GroupEnumeration, j: int):
-    """conj[i] = row of s_j * x_i * s_j, for every element x_i at once.
+def _coxeter_matrix(rs: RootSystem):
+    """m_ij, the order of s_i s_j, from C_ij C_ji = 0, 1, 2, 3."""
+    c = rs.cartan
+    return np.array([[1 if i == j else (2, 3, 4, 6)[c[i][j] * c[j][i]]
+                      for j in range(rs.rank)] for i in range(rs.rank)])
 
-    x s_j comes from _right_mul; applying s_j on the left is one gather in
-    the reflection table, and the resulting image tuples are looked up as
-    group rows."""
-    refl = _gather_tables(group.rs.rstype)[2]
-    out = np.empty(len(group), dtype=np.int32)
-    for lo in range(0, len(group), _ROW_CHUNK):
-        z = _right_mul(group.rs, group.perms[lo:lo + _ROW_CHUNK], j)
-        out[lo:lo + _ROW_CHUNK] = group.lookup(refl[j][z])
-    return out
+
+def right_multiplication_table(group: GroupEnumeration):
+    """right[j, i] = row of x_i s_j, for every generator and row, from
+    gathers alone (see the module docstring)."""
+    rs = group.rs
+    n = len(group)
+    npos = len(rs.positive_roots)
+    cox = _coxeter_matrix(rs)
+    orders = sorted(set(cox.ravel().tolist()) - {1})
+    right = np.full((rs.rank, n), -1, dtype=np.int32)
+    flat = right.ravel()
+    at_k = group.descent.astype(np.int64) * n    # flat[at_k[z] + x] = right[k_z, x]
+    z = np.arange(1, n, dtype=np.int32)
+    flat[at_k[1:] + z] = group.parent[1:]        # the tree edges, both ways
+    flat[at_k[1:] + group.parent[1:]] = z
+    for lo, hi in group.layers()[2:]:
+        # m[z, i] = m_ik for each right descent i of row z but its tree
+        # descent k (m_kk = 1, and those entries are set), 0 off descents
+        m = np.where(group.perms[lo:hi] >= npos, cox[group.descent[lo:hi]], 0)
+        for mik in orders:
+            zm, i = np.nonzero(m == mik)
+            if not zm.size:
+                continue
+            # z s_i = p (s_i s_k)^(m_ik - 1), every step on shorter rows
+            zm += lo
+            at_i = i * n
+            x, at = group.parent[zm], at_k[zm]
+            for _ in range(mik - 1):
+                x = flat[at + flat[at_i + x]]
+            flat[at_i + zm] = x
+            flat[at_i + x] = zm
+    assert (right >= 0).all()
+    return right
+
+
+def conjugation_table(group: GroupEnumeration, right, j: int):
+    """conj[i] = row of s_j * x_i * s_j, for every element x_i at once;
+    right is right_multiplication_table(group).
+
+    The left table of s_j is filled down the descent tree one length at a
+    time, s_j (p s_k) = (s_j p) s_k, and composed with right[j]."""
+    n = len(group)
+    at_k = group.descent.astype(np.int64) * n
+    flat = right.ravel()
+    left = np.empty(n, dtype=np.int32)
+    left[0] = right[j, 0]
+    for lo, hi in group.layers()[1:]:
+        left[lo:hi] = flat[at_k[lo:hi] + left[group.parent[lo:hi]]]
+    return left[right[j]]
 
 
 def conjugacy_class_count(rs: RootSystem, budget: int = DEFAULT_BUDGET):
@@ -487,12 +562,13 @@ def conjugacy_class_count(rs: RootSystem, budget: int = DEFAULT_BUDGET):
     (each label is the least row of its class so far): its row pairs are
     taken through the current labels, pairs already in one class are
     dropped, and each table being an involution, one orientation of each
-    pair is enough."""
+    pair is enough.  The multiplication tables live only for the count."""
     group = enumerate_group(rs, budget)
+    right = right_multiplication_table(group)
     n = len(group)
     label = np.arange(n, dtype=np.int32)
     for j in range(rs.rank):
-        a, b = label, label[conjugation_table(group, j)]
+        a, b = label, label[conjugation_table(group, right, j)]
         keep = a < b
         label = component_labels(n, a[keep], b[keep])[label]
     sizes = np.unique(label, return_counts=True)[1]

@@ -7,8 +7,10 @@ formulas against vectorized conjugacy-class sweeps.
 """
 
 import cmath
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,12 +83,6 @@ def test_iteration_builds_the_constructors_permutations(name):
     assert [w.perm for w in g] == want
     assert [g.element(i).perm for i in (0, len(g) // 2, len(g) - 1)] == [
         want[0], want[len(g) // 2], want[-1]]
-
-
-def test_lookup_roundtrip():
-    g = enumerate_group(rs_of("B3"))
-    rows = g.lookup(g.perms[::7])
-    assert list(rows) == list(range(0, len(g), 7))
 
 
 def layer_bfs(rs):
@@ -305,7 +301,7 @@ def test_a4_class_sizes():
 def test_root_combination_tables_match_a_loop(name):
     # the vectorised key lookup against the plain dict lookup it replaced
     rs = rs_of(name)
-    comb, _, _ = weyl._gather_tables(rs.rstype)
+    comb, _ = weyl._gather_tables(rs.rstype)
     for k, table in comb.items():
         for r, a in enumerate(rs.all_roots):
             for s, b in enumerate(rs.all_roots):
@@ -317,13 +313,52 @@ def test_root_combination_tables_match_a_loop(name):
 def test_conjugation_tables_match_exact_conjugation(name):
     rs = rs_of(name)
     g = enumerate_group(rs)
+    right = weyl.right_multiplication_table(g)
+    row_of = {tuple(row): i for i, row in enumerate(g.perms.tolist())}
     rows = np.arange(len(g))
     for j in range(rs.rank):
-        conj = conjugation_table(g, j)
+        conj = conjugation_table(g, right, j)
         assert np.array_equal(conj[conj], rows)        # an involution
         s = WeylElement.simple(rs, j)
-        images = [[rs.index[r] for r in (s * w * s).images] for w in g]
-        assert np.array_equal(conj, g.lookup(np.array(images)))
+        want = [row_of[tuple(rs.index[r] for r in (s * w * s).images)]
+                for w in g]
+        assert conj.tolist() == want
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C4", "D4", "E6", "F4", "G2"])
+def test_multiplication_tables_match_the_group_law(name):
+    # m_ij = 2, 3, 4 and 6 all occur: the descent rule walks each dihedral
+    # length; the oracles are _right_mul on image rows and the exact product
+    rs = rs_of(name)
+    g = enumerate_group(rs)
+    right = weyl.right_multiplication_table(g)
+    npos = len(rs.positive_roots)
+    z = np.arange(1, len(g))
+    assert np.array_equal(g.lengths[g.parent[z]], g.lengths[z] - 1)
+    for j in range(rs.rank):
+        tree = z[g.descent[z] == j]
+        assert np.array_equal(g.perms[tree],
+                              weyl._right_mul(rs, g.perms[g.parent[tree]], j))
+        assert (g.perms[tree, :j] < npos).all()       # the least descent
+        assert np.array_equal(g.perms[right[j]], weyl._right_mul(rs, g.perms, j))
+        s = WeylElement.simple(rs, j)
+        left = conjugation_table(g, right, j)[right[j]]     # s_j x
+        assert np.array_equal(g.perms[left], np.array(s.perm)[g.perms])
+        rng = random.Random(2422 + j)
+        for i in rng.sample(range(len(g)), min(40, len(g))):
+            assert g.element(int(left[i])) == s * g.element(i), (name, j, i)
+
+
+with open(Path(__file__).with_name("class_sizes.json")) as fh:
+    CLASS_SIZES = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_SIZES))
+def test_class_sizes_are_golden(name):
+    # (count, sorted sizes) of every *.classes type in the plan but A9 (the
+    # slow report pin covers it), as the row-lookup class count gave them
+    count, sizes = CLASS_SIZES[name]
+    assert conjugacy_class_count(rs_of(name)) == (count, sizes)
 
 
 # ---------------------------------------------------------------------------
