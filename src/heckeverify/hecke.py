@@ -387,14 +387,8 @@ def affine_generators(rstype):
     for j in range(rs.rank):
         gens.append(ExtAffine(WeylElement.simple(rs, j), zero))
     beta = highest_short_root(rs)
-    cb = rs.coroots[rs.index[beta]]
-    images = []
-    for j in range(rs.rank):
-        k = sum(cb[i] * rs.cartan[j][i] for i in range(rs.rank))
-        images.append(tuple(a - k * b for a, b in
-                            zip(rs.simples[j], beta)))
     minus_beta = tuple(-rs.pairing(beta, j) for j in range(rs.rank))
-    gens[0] = ExtAffine(WeylElement(rs, images), minus_beta)
+    gens[0] = ExtAffine(WeylElement.reflection(rs, beta), minus_beta)
     for g in gens:
         # _length, not length: building the type's _Interned table reads
         # these generators, so they cannot be interned while being built

@@ -27,8 +27,8 @@ import numpy as np
 from . import report
 from .rootsystem import RootSystem, RootSystemType, build, components
 from .weyl import (
-    _ROW_CHUNK, DEFAULT_BUDGET, WeylBudgetError, enumerate_group,
-    poincare_vanishes, valid_orders)
+    DEFAULT_BUDGET, WeylBudgetError, enumerate_group, poincare_vanishes,
+    valid_orders)
 
 __all__ = [
     "INFINITE", "TorusPoint", "TorusError", "standard_point", "mixed_point",
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 INFINITE = None
+_ROW_CHUNK = 1 << 18          # group rows per gather in _least_images
 
 
 class TorusError(ValueError):

@@ -2,14 +2,15 @@
 
 The whole group is enumerated as integer arrays: row i holds the root
 indices (w(alpha_1), ..., w(alpha_n)) of element i; this scales to a few
-million elements.  Sweeps over the group work on row indices alone:
-conjugation by a simple reflection is one table of rows built by integer
-gathers, and the conjugacy classes are the connected components of those
-tables.  A single element, for code that composes, inverts and factors
-elements one at a time (the extended affine group in hecke), is a
-WeylElement: the permutation of all root indices that a row's simple-root
-images determine, so that composing is a gather and inverting is
-inverting a permutation.
+million elements.  Rows are multiplied through one table per type, the
+reflection table refl[b, r] = root index of s_b(r): since x s_j x^-1 =
+s_{x(alpha_j)}, a row times a simple reflection is one gather in it,
+(x s_j)(alpha_i) = refl[x(alpha_j), x(alpha_i)], over the i with
+C_ij != 0 (s_j fixes every other alpha_i).  A single element, for
+code that composes, inverts and factors elements one at a time (the
+extended affine group in hecke), is a WeylElement: the permutation of all
+root indices that a row's simple-root images determine, so that composing
+is a gather and inverting is inverting a permutation.
 
 The enumeration walks the descent tree (Casselman, "Machine calculations
 in Weyl groups", Invent. Math. 116, 1994): every w != 1 has a least right
@@ -17,7 +18,9 @@ descent j, and its parent is w s_j, one shorter.  So the children of x are
 the x s_j with x(alpha_j) > 0 whose least right descent is j, that is,
 with (x s_j)(alpha_i) > 0 for every i < j.  Every element is produced
 exactly once, at depth equal to its Coxeter length, with no dedupe, and
-each row records its parent p and that descent k: z = p s_k.
+each row records its parent p and that descent k: z = p s_k.  Rows are
+grouped by length and, within a length, follow the tree: by descent k,
+then by parent row.  No row is ever looked up.
 
 The class count multiplies rows by the tree, with no search for a row.
 The right table R[j, z] = z s_j is filled one length l at a time:
@@ -98,9 +101,14 @@ class WeylElement:
         return cls._of(rs, tuple(range(len(rs.all_roots))))
 
     @classmethod
+    def reflection(cls, rs: RootSystem, root) -> "WeylElement":
+        """s_root, a row of the reflection table."""
+        refl = _reflection_table(rs.rstype)
+        return cls._of(rs, tuple(refl[rs.index[tuple(root)]].tolist()))
+
+    @classmethod
     def simple(cls, rs: RootSystem, j: int) -> "WeylElement":
-        return cls._of(rs, tuple(rs.index[rs.reflect(a, j)]
-                                 for a in rs.all_roots))
+        return cls.reflection(rs, rs.simples[j])
 
     @classmethod
     def from_word(cls, rs: RootSystem, word) -> "WeylElement":
@@ -191,33 +199,51 @@ def _root_matrix(rstype):
 # numpy engine
 
 
-def _key_powers(rs: RootSystem):
-    nroots = len(rs.all_roots)
-    base = 1 << max(1, (nroots - 1).bit_length())
-    if base ** rs.rank > 2 ** 64:
-        raise WeylBudgetError(
-            f"cannot key rank-{rs.rank} elements over {nroots} roots in 64 bits")
-    return np.array([base ** i for i in range(rs.rank)], dtype=np.uint64)
+@lru_cache(maxsize=None)
+def _reflection_table(rstype):
+    """refl[b, r] = root index of s_b(r), for every pair of roots (int16).
+
+    Built up the heights from the simple reflections: a positive root b of
+    height above one has a simple root alpha_t with <b, alpha_t^vee> > 0,
+    so b' = s_t(b) is lower and s_b = s_t s_b' s_t; and s_-b = s_b."""
+    rs = build(rstype)
+    npos = len(rs.positive_roots)
+    simple = [rs.index[a] for a in rs.simples]
+    refl = np.empty((2 * npos, 2 * npos), dtype=np.int16)
+    for j, a in enumerate(simple):
+        refl[a] = [rs.index[rs.reflect(r, j)] for r in rs.all_roots]
+    every = np.arange(2 * npos)
+    for b, root in enumerate(rs.positive_roots):
+        if rs.height(root) > 1:
+            t = next(t for t in range(rs.rank) if rs.pairing(root, t) > 0)
+            st = refl[simple[t]]
+            refl[b] = st[refl[rs.index[rs.reflect(root, t)]][st]]
+        if refl[b, b] != b + npos or (refl[b][refl[b]] != every).any():
+            raise AssertionError(f"s_{root} is not a reflection of {rstype}")
+    refl[npos:] = refl[:npos]
+    return refl
 
 
-def _keys(perms, powers):
-    """One uint64 key per image tuple, summed column by column so the
-    temporaries stay one column wide."""
-    keys = np.zeros(perms.shape[0], dtype=np.uint64)
-    for i, pw in enumerate(powers):
-        keys += perms[:, i].astype(np.uint64) * pw
-    return keys
+def _right_mul(rs: RootSystem, x, j: int):
+    """Rows of x s_j for a (B, rank) batch of rows x.
+
+    (x s_j)(a_i) = s_{x(a_j)}(x(a_i)): one gather in the reflection table,
+    over the columns i with C_ij != 0, j among them; s_j fixes the rest."""
+    cols = [i for i in range(rs.rank) if rs.cartan[i][j]]
+    z = x.copy()
+    z[:, cols] = _reflection_table(rs.rstype)[x[:, j:j + 1], x[:, cols]]
+    return z
 
 
 class GroupEnumeration:
     """The full Weyl group as parallel numpy arrays.
 
     perms[i] holds the root indices of the images of the simple roots
-    under element i; lengths[i] is its Coxeter length.  Elements are
-    ordered by (length, key), which is deterministic.  Every row but the
-    identity (row 0) is x s_k for its descent-tree parent x = parent[i],
-    one shorter, and its least right descent k = descent[i]; row 0 has
-    parent and descent -1.
+    under element i; lengths[i] is its Coxeter length.  Rows are grouped
+    by length, in descent-tree order, which is deterministic.  Every row
+    but the identity (row 0) is x s_k for its descent-tree parent
+    x = parent[i], one shorter, and its least right descent k =
+    descent[i]; row 0 has parent and descent -1.
     """
 
     def __init__(self, rs: RootSystem, perms, lengths, parent, descent):
@@ -239,26 +265,15 @@ class GroupEnumeration:
         bounds = np.cumsum(np.bincount(self.lengths)).tolist()
         return list(zip([0] + bounds[:-1], bounds))
 
-    def _full_perms(self, lo: int, hi: int):
-        """Rows lo..hi-1 as whole root permutations, one int array row
-        each: w(root r) = sum_i r_i w(alpha_i), looked up by key."""
-        roots = _root_matrix(self.rs.rstype)
-        out = _root_indices(self.rs.rstype, roots @ roots[self.perms[lo:hi]])
-        assert (out >= 0).all()
-        return out
-
     def element(self, i: int) -> WeylElement:
-        perm = self._full_perms(i, i + 1)[0]
-        return WeylElement._of(self.rs, tuple(perm.tolist()))
+        roots = self.rs.all_roots
+        return WeylElement(self.rs, [roots[r] for r in self.perms[i].tolist()])
 
     def __iter__(self):
-        """The elements in row order, their permutations built a chunk of
-        rows at a time."""
-        nroots = len(self.rs.all_roots)
-        step = max(1, _ROW_CHUNK // (nroots * self.rs.rank))
-        for lo in range(0, len(self), step):
-            for perm in self._full_perms(lo, lo + step).tolist():
-                yield WeylElement._of(self.rs, tuple(perm))
+        """The elements in row order."""
+        roots = self.rs.all_roots
+        for row in self.perms.tolist():
+            yield WeylElement(self.rs, [roots[r] for r in row])
 
 
 _ENUM_CACHE: dict = {}
@@ -280,7 +295,6 @@ def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumer
     if cached is not None:
         return cached
 
-    powers = _key_powers(rs)
     npos = len(rs.positive_roots)     # root indices below npos are positive
     frontier = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
     layers, parents = [frontier], [np.array([-1])]
@@ -293,17 +307,13 @@ def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumer
             least = (y[:, :j] < npos).all(axis=1)
             children.append(y[least])
             parent.append(rows[least])
-        # each length sorted by key, so rows keep the (length, key) order
-        # of the layer BFS this replaced: omega_group and iteration read
-        # rows in that order, and test_descent_tree_matches_layer_bfs
-        # pins it.  No row is looked up by key.
-        parent = start + np.concatenate(parent)
+        # each length in tree order: by descent, then by parent row
+        parents.append(start + np.concatenate(parent))
         start += frontier.shape[0]
         frontier = np.concatenate(children)
-        by_key = np.argsort(_keys(frontier, powers))
-        frontier = frontier[by_key]
+        if start + frontier.shape[0] > order:     # a wrong x s_j never ends
+            raise AssertionError(f"{rs.rstype}'s descent tree outgrew its order")
         layers.append(frontier)
-        parents.append(parent[by_key])
     perms = np.concatenate(layers)
     parent = np.concatenate(parents).astype(np.int32)
     # the least right descent: the first simple root sent negative
@@ -427,73 +437,7 @@ def irr_count(rs: RootSystem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gather tables and conjugacy classes
-
-
-@lru_cache(maxsize=None)
-def _root_keys(rstype):
-    """Roots looked up by an integer key over a box that holds every root
-    and every r + k*s the gathers form: (off, powers, the roots' sorted
-    keys, their root indices)."""
-    rs = build(rstype)
-    reach = 1 + max((abs(c) for i, row in enumerate(rs.cartan)
-                     for j, c in enumerate(row) if i != j), default=0)
-    roots = _root_matrix(rstype)
-    off = reach * int(roots.max())
-    powers = (2 * off + 1) ** np.arange(rs.rank, dtype=np.int64)
-    assert (2 * off + 1) ** rs.rank < 2 ** 62
-    root_keys = (roots + off) @ powers
-    by_key = np.argsort(root_keys)
-    return off, powers, root_keys[by_key], by_key
-
-
-def _root_indices(rstype, vecs):
-    """Root indices of the int64 coordinate vectors along the last axis of
-    vecs, -1 where a vector is not a root."""
-    off, powers, sorted_keys, by_key = _root_keys(rstype)
-    keys = (vecs + off) @ powers
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(by_key) - 1)
-    return np.where(sorted_keys[pos] == keys, by_key[pos], -1)
-
-
-@lru_cache(maxsize=None)
-def _gather_tables(rstype):
-    """Per-type root-index tables for the gathers over group rows.
-
-    comb[k][r, s] is the index of root r + k*s, or -1 when that is not a
-    root, for each k = -C_ij over the nonzero off-diagonal Cartan entries;
-    neg[r] is the index of -r."""
-    rs = build(rstype)
-    ks = {-c for i, row in enumerate(rs.cartan) for j, c in enumerate(row)
-          if i != j and c}
-    roots = _root_matrix(rstype)
-    comb = {k: _root_indices(rstype, roots[:, None, :] + k * roots[None, :, :]
-                             ).astype(np.int16)
-            for k in sorted(ks)}
-    neg = np.array([rs.index[tuple(-x for x in a)] for a in rs.all_roots],
-                   dtype=np.int16)
-    return comb, neg
-
-
-def _right_mul(rs: RootSystem, x, j: int):
-    """Rows of x s_j for a (B, rank) batch of rows x.
-
-    x s_j sends a_i to x(a_i) - C_ij x(a_j): one gather in a root
-    combination table per Cartan entry (the negation table for i = j)."""
-    comb, neg = _gather_tables(rs.rstype)
-    z = x.copy()
-    for i in range(rs.rank):
-        c = rs.cartan[i][j]
-        if i == j:
-            z[:, i] = neg[x[:, j]]
-        elif c:
-            z[:, i] = comb[-c][x[:, i], x[:, j]]
-    if (z < 0).any():
-        raise AssertionError(f"x s_{j} left the roots of {rs.rstype}")
-    return z
-
-
-_ROW_CHUNK = 1 << 18
+# multiplication tables and conjugacy classes
 
 
 def _coxeter_matrix(rs: RootSystem):

@@ -72,58 +72,32 @@ def test_elements_carry_correct_lengths():
             assert g.element(i).length() == int(g.lengths[i]), (name, i)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
-def test_iteration_builds_the_constructors_permutations(name):
-    # iteration builds whole permutations a chunk of rows at a time; the
-    # constructor goes through the images' coordinates and rs.index
-    rs = rs_of(name)
-    g = enumerate_group(rs)
-    want = [WeylElement(rs, [rs.all_roots[r] for r in row]).perm
-            for row in g.perms]
-    assert [w.perm for w in g] == want
-    assert [g.element(i).perm for i in (0, len(g) // 2, len(g) - 1)] == [
-        want[0], want[len(g) // 2], want[-1]]
-
-
 def layer_bfs(rs):
     """The breadth-first enumeration the descent tree replaced: left
     multiplication by every simple reflection, each layer deduplicated
-    with np.unique and against the layer before.  Returns image rows and
-    lengths."""
+    against the rows already met.  Returns {image row: length}."""
     refl = np.array([[rs.index[rs.reflect(a, j)] for a in rs.all_roots]
                      for j in range(rs.rank)], dtype=np.int16)
-    powers = weyl._key_powers(rs)
-    frontier = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
-    layers, lengths = [frontier], [0]
-    prev_keys = np.array([], dtype=np.uint64)
-    keys = weyl._keys(frontier, powers)
-    while True:
-        cand = np.concatenate([refl[j][frontier] for j in range(rs.rank)])
-        uniq, first = np.unique(weyl._keys(cand, powers), return_index=True)
-        new = ~np.isin(uniq, prev_keys)
-        if not new.any():
-            break
-        prev_keys, keys = keys, uniq[new]
-        frontier = cand[first][new]
-        layers.append(frontier)
-        lengths += [lengths[-1] + 1] * len(frontier)
-    return np.concatenate(layers), lengths
+    length_of = {}
+    frontier, length = {tuple(rs.index[a] for a in rs.simples)}, 0
+    while frontier:
+        length_of.update(dict.fromkeys(frontier, length))
+        rows = np.array(sorted(frontier), dtype=np.int16)
+        cand = np.concatenate([refl[j][rows] for j in range(rs.rank)])
+        frontier = set(map(tuple, cand.tolist())) - length_of.keys()
+        length += 1
+    return length_of
 
 
 @pytest.mark.parametrize("name", ["A5", "B4", "C4", "D5", "E6", "F4", "G2"])
 def test_descent_tree_matches_layer_bfs(name):
     rs = rs_of(name)
     g = enumerate_group(rs)
-    perms, lengths = layer_bfs(rs)
-    powers = weyl._key_powers(rs)
-    keys = weyl._keys(g.perms, powers).tolist()
-    want = weyl._keys(perms, powers).tolist()
-    assert len(set(keys)) == len(keys) == rs.weyl_order()    # no duplicates
-    assert set(keys) == set(want)
-    length_of = dict(zip(want, lengths))
-    assert [length_of[k] for k in keys] == g.lengths.tolist()
-    # rows keep the breadth-first order: by length, then by key
-    assert keys == want
+    rows = list(map(tuple, g.perms.tolist()))
+    length_of = layer_bfs(rs)
+    assert len(set(rows)) == len(rows) == rs.weyl_order()    # no duplicates
+    assert set(rows) == length_of.keys()
+    assert [length_of[r] for r in rows] == g.lengths.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +271,33 @@ def test_a4_class_sizes():
         (7, [1, 10, 15, 20, 20, 24, 30])
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2", "E6"])
 def test_root_combination_tables_match_a_loop(name):
-    # the vectorised key lookup against the plain dict lookup it replaced
+    # the reflection table, built up the heights by conjugating with simple
+    # reflections, against s_b(r) = r - <r, b^vee> b for every pair of roots
     rs = rs_of(name)
-    comb, _ = weyl._gather_tables(rs.rstype)
-    for k, table in comb.items():
+    refl = weyl._reflection_table(rs.rstype)
+    for b, beta in enumerate(rs.all_roots):
+        cb = rs.coroot_coords(beta)
         for r, a in enumerate(rs.all_roots):
-            for s, b in enumerate(rs.all_roots):
-                got = rs.index.get(tuple(x + k * y for x, y in zip(a, b)), -1)
-                assert table[r, s] == got, (name, k, a, b)
+            k = sum(a[i] * c * rs.cartan[i][j]
+                    for i in range(rs.rank) for j, c in enumerate(cb))
+            want = rs.index[tuple(x - k * y for x, y in zip(a, beta))]
+            assert refl[b, r] == want, (name, beta, a)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_right_multiplication_matches_the_exact_product(name):
+    # _right_mul gathers only the columns i with C_ij != 0; every row of the
+    # group times every simple reflection, against the permutation product
+    rs = rs_of(name)
+    g = enumerate_group(rs)
+    elems = list(g)
+    for j in range(rs.rank):
+        s = WeylElement.simple(rs, j)
+        got = weyl._right_mul(rs, g.perms, j).tolist()
+        want = [[rs.index[r] for r in (w * s).images] for w in elems]
+        assert got == want, (name, j)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2"])
