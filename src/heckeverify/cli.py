@@ -128,11 +128,9 @@ def cmd_torus(args):
 
 def cmd_orbits(args):
     primes = None if args.primes is None else _int_list(args.primes)
-    cap = positive_int("cap", args.cap)
     budget = positive_int("state_budget", args.state_budget)
     if args.joint is None:
-        records = nilorbits.verify_case(args.type, args.order, primes=primes,
-                                        cap=cap, state_budget=budget)
+        records = nilorbits.verify_case(args.type, args.order, primes, budget)
         _print_json(records)
         return 1 if any(r["status"] == "fail" for r in records) else 0
     # indices name the recorded modules M1, M2, ... or, with no detailed
@@ -141,8 +139,7 @@ def cmd_orbits(args):
     prefix = "M" if table is not None and table.detailed else "C"
     names = tuple(f"{prefix}{i}" for i in _int_list(args.joint))
     bound = nilorbits.case_bound(args.type, args.order, primes=primes,
-                                 cap=cap, state_budget=budget,
-                                 groupings=(names,))
+                                 state_budget=budget, groupings=(names,))
     (group,) = bound.groups
     if group.refusal is not None:
         raise nilorbits.NilOrbitError(group.refusal)
@@ -234,7 +231,6 @@ def build_parser():
     q.add_argument("--primes", help="comma-separated field sizes")
     q.add_argument("--joint", help="comma-separated submodule indices "
                                    "to count jointly, e.g. 1,3")
-    q.add_argument("--cap", type=int, default=nilorbits.DEFAULT_DIM_CAP)
     q.add_argument("--state-budget", type=int, dest="state_budget",
                    default=nilorbits.DEFAULT_STATE_BUDGET)
     q.set_defaults(func=cmd_orbits)
@@ -254,7 +250,6 @@ def build_parser():
     q.add_argument("--format", choices=("json", "text"), dest="fmt")
     q.add_argument("--jobs", type=int, metavar="N")
     q.add_argument("--prime-bound", type=int, dest="prime_bound")
-    q.add_argument("--dim-cap", type=int, dest="dim_cap")
     q.add_argument("--state-budget", type=int, dest="state_budget")
     q.add_argument("--enum-budget", type=int, dest="enum_budget")
     q.add_argument("--ball-radius", type=int, dest="ball_radius")

@@ -11,11 +11,13 @@ vector is first canonicalized to a torus-orbit label (support pattern
 plus a discrete class computed by integer lattice reduction of the
 restricted weight matrix); the orbits are then the components of these
 states under the unipotent one-parameter moves over every field scalar,
-labelled by rootsystem.component_labels.  Counting the same case over two
-primes guards the arithmetic; the sweep counts over one sign convention,
-and the cross-check against the twisted table runs only in the tests.
-case_bound drives an orbit case for the sweep (verify_case) and for
-`hecke-verify orbits --joint` alike.
+labelled by rootsystem.component_labels.  The state budget is the one size
+guard: a d-dimensional span has at least 2^d states, one per support
+pattern, so it is refused at once when 2^d is over the budget.  Counting
+the same case over two primes guards the arithmetic; the sweep counts
+over one sign convention, the cross-check against the twisted table runs
+only in the tests.  case_bound drives an orbit case for the sweep
+(verify_case) and for `hecke-verify orbits --joint` alike.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +53,6 @@ class ComponentMismatch(Exception):
         self.computed = sorted(len(sub.support) for sub in parts)
 
 
-DEFAULT_DIM_CAP = 12
 DEFAULT_STATE_BUDGET = 300_000
 
 
@@ -225,11 +226,15 @@ class _Closure:
 
     def __init__(self, nm: NilModule, roots, p,
                  state_budget=DEFAULT_STATE_BUDGET):
+        self.roots = tuple(roots)
+        self.d = d = len(self.roots)
+        # each support pattern holds at least one class: 2^d states at least
+        if 1 << d > state_budget:
+            raise NilOrbitError(
+                f"at least {1 << d} torus-canonical states on dimension "
+                f"{d}; over the budget of {state_budget}")
         self.p = p
         self.pm1 = p - 1
-        self.roots = tuple(roots)
-        d = len(self.roots)
-        self.d = d
         where = {r: k for k, r in enumerate(nm.basis_roots)}
         chosen = [where[r] for r in self.roots]
         idx = {k: i for i, k in enumerate(chosen)}  # basis index -> position
@@ -312,7 +317,7 @@ class _Closure:
                 out[rows] = self.offsets[bits]
                 continue
             dl = self.dlog[block[np.ix_(rows, sel)]]
-            lab = dl.dot(data.unit.T) % self.pm1 % data.mod_arr
+            lab = dl.dot(data.unit.T) % data.mod_arr   # moduli divide p-1
             out[rows] = self.offsets[bits] + lab.dot(data.strides)
         return out
 
@@ -368,17 +373,14 @@ def _support_roots(supports):
                          for r in getattr(sub, "support", sub)}))
 
 
-def orbit_count_ff(nm: NilModule, supports, p: int, cap=DEFAULT_DIM_CAP,
+def orbit_count_ff(nm: NilModule, supports, p: int,
                    state_budget=DEFAULT_STATE_BUDGET) -> _Closure:
     """Exact orbit count of the centralizer action on the joint span of the
     chosen submodules, over the field of p elements: the closure after its
-    run, with the count in .count.  Raises NilOrbitError over the dimension
-    cap or the state budget."""
-    roots = _support_roots(supports)
-    if len(roots) > cap:
-        raise NilOrbitError(
-            f"joint support has dimension {len(roots)}, over the cap {cap}")
-    closure = _Closure(nm, roots, p, state_budget)
+    run, with the count in .count.  Raises NilOrbitError when the closure
+    would hold more states than the state budget; a span of dimension d has
+    at least 2^d of them, so a large span is refused before any is built."""
+    closure = _Closure(nm, _support_roots(supports), p, state_budget)
     closure.run()
     return closure
 
@@ -474,7 +476,7 @@ def _checked_groupings(case, named, groupings):
     return out
 
 
-def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
+def case_bound(rstype, order, primes=None,
                state_budget=DEFAULT_STATE_BUDGET, groupings=None) -> CaseBound:
     """Orbit counts per grouping and their product, checked over at least
     two admissible primes.  Refusals come in one sequence: the type, the
@@ -508,8 +510,7 @@ def case_bound(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
         distinct = True if reps else None   # None skips the check below
         for p in primes:
             try:
-                closure = orbit_count_ff(nm, subs, p, cap=cap,
-                                         state_budget=state_budget)
+                closure = orbit_count_ff(nm, subs, p, state_budget)
             except NilOrbitError as err:
                 refusal = str(err)
                 break
@@ -562,7 +563,7 @@ def _recorder(case, table):
     return record
 
 
-def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
+def verify_case(rstype, order, primes=None,
                 state_budget=DEFAULT_STATE_BUDGET):
     """The five ordered report records for one (type, order) case:
     generator list, exponent-one root list, decomposition, per-group orbit
@@ -570,8 +571,7 @@ def verify_case(rstype, order, primes=None, cap=DEFAULT_DIM_CAP,
     record they annotate.  Components that do not match a detailed table
     give one failed decomposition record instead."""
     try:
-        bound = case_bound(rstype, order, primes=primes, cap=cap,
-                           state_budget=state_budget)
+        bound = case_bound(rstype, order, primes, state_budget)
     except ComponentMismatch as e:
         # the orbit counts are named by the recorded modules, so nothing
         # past the decomposition can be checked

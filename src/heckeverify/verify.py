@@ -65,7 +65,6 @@ def positive_int(name, v):
 @dataclass(frozen=True)
 class RunConfig:
     prime_bound: int = 2000
-    dim_cap: int = nilorbits.DEFAULT_DIM_CAP
     state_budget: int = nilorbits.DEFAULT_STATE_BUDGET
     enum_budget: int = DEFAULT_BUDGET
     ball_radius: int = 2
@@ -74,8 +73,8 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self):
-        for name in ("prime_bound", "dim_cap", "state_budget",
-                     "enum_budget", "ball_radius", "jobs"):
+        for name in ("prime_bound", "state_budget", "enum_budget",
+                     "ball_radius", "jobs"):
             positive_int(name, getattr(self, name))
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"format must be 'json' or 'text', "
@@ -326,7 +325,7 @@ def unit_character_counts(name, m, budget):
     ]
 
 
-def unit_orbit_case(name, order, prime_bound, dim_cap, state_budget):
+def unit_orbit_case(name, order, prime_bound, state_budget):
     case = f"{name}.o{order}"
     try:
         primes = admissible_primes(order, limit=prime_bound)
@@ -335,11 +334,10 @@ def unit_orbit_case(name, order, prime_bound, dim_cap, state_budget):
             "nilorbits", case, nm, f"case table {case}: {label}",
             str(e), None, None, "skipped")
             for nm, label in nilorbits.CASE_RECORDS]
-    return nilorbits.verify_case(name, order, primes=primes, cap=dim_cap,
-                                 state_budget=state_budget)
+    return nilorbits.verify_case(name, order, primes, state_budget)
 
 
-def unit_regular_count(name, prime_bound, dim_cap, state_budget):
+def unit_regular_count(name, prime_bound, state_budget):
     """Orbit count at an order past every exponent.
 
     The eigenspace is the span of the simple root lines and the bracket
@@ -363,8 +361,7 @@ def unit_regular_count(name, prime_bound, dim_cap, state_budget):
     predicted = {}
     for q in primes:
         rational[str(q)] = prod(
-            nilorbits.orbit_count_ff(nm, [sub], q, cap=dim_cap,
-                                     state_budget=state_budget).count
+            nilorbits.orbit_count_ff(nm, [sub], q, state_budget).count
             for sub in parts)
         predicted[str(q)] = prod(1 + gcd(c, q - 1) for c in contents)
     independent = (weight_rank == rs.rank and len(parts) == rs.rank
@@ -564,12 +561,11 @@ def _plan(config: RunConfig):
                     (name, m, config.enum_budget)))
     for name, order in tabulated_cases():
         out.append(("nilorbits", f"{name}.o{order}", "orbit-case",
-                    (str(name), order, config.prime_bound, config.dim_cap,
+                    (str(name), order, config.prime_bound,
                      config.state_budget)))
     for name in REGULAR_TYPES:
         out.append(("nilorbits", f"{name}.regular", "regular-count",
-                    (name, config.prime_bound, config.dim_cap,
-                     config.state_budget)))
+                    (name, config.prime_bound, config.state_budget)))
     out.append(("hecke", "words", "translation-words", ()))
     for name in BALL_TYPES:
         out.append(("hecke", f"{name}.ball", "theta-ball",

@@ -198,7 +198,7 @@ def test_orbits_rejects_repeated_or_empty_picks(capsys):
 
 
 @pytest.mark.parametrize("flag,name,value", [
-    ("--cap", "cap", "0"), ("--state-budget", "state_budget", "-5")])
+    ("--state-budget", "state_budget", "-5")])
 @pytest.mark.parametrize("joint", [(), ("--joint", "1")])
 def test_orbits_cap_and_budget_must_be_positive(capsys, flag, name, value,
                                                 joint):
@@ -206,6 +206,17 @@ def test_orbits_cap_and_budget_must_be_positive(capsys, flag, name, value,
                        *joint)
     assert rc == 2 and out == ""
     assert f"{name} must be a positive integer, got {value}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dim-cap", "12"),
+    ("orbits", "E6", "--order", "7", "--cap", "12")])
+def test_dimension_cap_flags_are_gone(capsys, argv):
+    # the state budget alone sizes an orbit count
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(list(argv))
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_hecke_words(capsys):

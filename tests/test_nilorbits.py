@@ -227,11 +227,45 @@ def test_partial_support_is_refused():
         orbit_count_ff(nm, [half], 29)
 
 
-def test_dimension_cap_is_refused_with_the_dimension():
+def _no_support_classes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a support class was built")
+    monkeypatch.setattr(no, "_SupportClasses", refuse)
+
+
+def test_dimension_cap_is_refused_with_the_dimension(monkeypatch):
+    # 2^23 states at least: refused before any support class is built
     rs, nm = nil("E8", 11)
     parts = decompose(nm)
-    with pytest.raises(NilOrbitError, match="dimension 23"):
-        orbit_count_ff(nm, parts, 23, cap=12)
+    _no_support_classes(monkeypatch)
+    with pytest.raises(NilOrbitError, match="8388608") as err:
+        orbit_count_ff(nm, parts, 23)
+    assert "dimension 23" in str(err.value)
+
+
+def test_closure_is_refused_exactly_over_the_budget(monkeypatch):
+    rs, nm = nil("E6", 7)
+    for sub in decompose(nm):
+        closure = orbit_count_ff(nm, [sub], 29)
+        n, d = closure.n_states, closure.d
+        with pytest.raises(NilOrbitError, match="over the budget"):
+            orbit_count_ff(nm, [sub], 29, state_budget=n - 1)
+        assert orbit_count_ff(nm, [sub], 29, state_budget=n).count == \
+            closure.count
+        with monkeypatch.context() as m:
+            _no_support_classes(m)
+            with pytest.raises(NilOrbitError, match=f"at least {2 ** d} "):
+                orbit_count_ff(nm, [sub], 29, state_budget=2 ** d - 1)
+
+
+def test_e8_o11_refusal_texts_are_pinned():
+    refusals = sorted(g.refusal for g in case_bound("E8", 11).groups
+                      if g.refusal is not None)
+    assert refusals == [
+        "at least 353648 torus-canonical states on dimension 9; over the "
+        "budget of 300000",
+        "at least 363353 torus-canonical states on dimension 12; over the "
+        "budget of 300000"]
 
 
 def test_state_budget_refusal_names_the_estimate():

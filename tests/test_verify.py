@@ -41,7 +41,7 @@ def test_defaults_validate():
 
 @pytest.mark.parametrize("bad", [
     {"jobs": 0}, {"prime_bound": -3}, {"ball_radius": True},
-    {"fmt": "xml"}, {"dim_cap": "9"},
+    {"fmt": "xml"}, {"state_budget": "9"},
 ])
 def test_validate_rejects(bad):
     with pytest.raises(ConfigError):
@@ -51,6 +51,9 @@ def test_validate_rejects(bad):
 def test_unknown_keys_are_named():
     with pytest.raises(ConfigError, match="prime_bouund"):
         config_from_dict({"prime_bouund": 50}, RunConfig())
+    # the dimension cap is gone: the state budget alone sizes a closure
+    with pytest.raises(ConfigError, match="keys: dim_cap"):
+        config_from_dict({"dim_cap": 12}, RunConfig())
 
 
 def test_cases_accept_string_or_list():
@@ -64,7 +67,7 @@ def test_config_file_round_trip(tmp_path):
     cfg = config_from_file(str(path), RunConfig())
     assert cfg.prime_bound == 500 and cfg.fmt == "text"
     # untouched keys keep their defaults
-    assert cfg.dim_cap == RunConfig().dim_cap
+    assert cfg.state_budget == RunConfig().state_budget
 
 
 def test_config_file_errors(tmp_path):
@@ -277,7 +280,7 @@ def test_every_regular_unit_passes():
 def test_regular_count_builds_no_structure_constants():
     # every *.regular eigenspace has no generator, so no table is read
     before = structure_constants.cache_info()
-    records = verify.unit_regular_count("E6", 2000, 12, 300000)
+    records = verify.unit_regular_count("E6", 2000, 300000)
     after = structure_constants.cache_info()
     assert [r["status"] for r in records] == ["pass"]
     assert (after.hits, after.misses) == (before.hits, before.misses)
