@@ -14,21 +14,22 @@ elements exact.  Products fold reduced words one generator at a time, from
 whichever side is cheaper; everything stays in the generic Laurent ring and
 numeric specialization is left to callers.
 
-ExtAffine and Laurent are the public values.  Inside a product, elements
-are integer ids interned per root-system type, and the product of an id
-with a generator on either side is kept in an integer table per (type,
-generator, side), so a fold loops over ints.  A table entry is filled once,
-from the generator's action written out for (w, x), with the length of its
-parent plus or minus one; only an element that comes in from outside has
-its length summed over the positive roots.  Coefficients are packed into
-one integer each for the length of a product.
+ExtAffine and Laurent are the public values.  Inside a product an element
+(w, x) is an integer code (f, x), f a small id of w interned by its root
+permutation, and has an integer id per root-system type.  The product of
+an id with a generator on either side is kept in an integer table per
+(type, generator, side), so a fold loops over ints; an entry is filled
+once, from the generator's action on the code, with its parent's length
+plus or minus one.  An ExtAffine is built only where an element enters or
+leaves the engine, and only an element entering has its length summed over
+the positive roots.  Coefficients are packed into one integer each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import mul, sub
+from functools import lru_cache, reduce
+from operator import add, mul, sub
 
 from . import report
 from .rootsystem import build, components, parse_type
@@ -80,10 +81,7 @@ class Laurent:
         return Laurent(out)
 
     def __sub__(self, o: "Laurent") -> "Laurent":
-        out = dict(self.c)
-        for e, k in o.c.items():
-            out[e] = out.get(e, 0) - k
-        return Laurent(out)
+        return self + -o
 
     def __neg__(self) -> "Laurent":
         return Laurent({e: -k for e, k in self.c.items()})
@@ -184,54 +182,59 @@ def _length(elem: ExtAffine) -> int:
 class _Interned:
     """The extended-affine elements of one type met so far, as integer ids.
 
-    Weyl elements compare by their root permutations alone, so elements of
-    different root systems with as many roots can collide; each type has
-    its own table.
-    elems[k] is the element with id k and lengths[k] its length.
-    steps[left][i][k] packs the product with generator r_i on that side as
-    (neighbor id << 1 | length went up); -1 until first asked for.
-
-    Only an element that comes in from outside (id) has its length summed
-    over the positive roots.  A table entry is the generator's action
-    written out for (w, x), and its length is the parent's plus or minus
-    one by the descent test (descends); a product with a length-zero
-    element keeps the other factor's length."""
+    Element k = (w, x) is stored as its code, codes[k] = (f, x): f is a
+    small id of w, interned by its root permutation perms[f], with the
+    products of ids memoised in fprod.  Both grow lazily, so no group is
+    enumerated.  Root permutations of different root systems can collide,
+    so each type has its own table.  lengths[k] is the length of element
+    k, and steps[left][i][k] packs its product with generator r_i on that
+    side as (neighbour id << 1 | length went up); -1 until first asked for.
+    Fills, products and factorisations read codes alone: an ExtAffine is
+    built only for an element coming in (id) or going out (elem)."""
 
     def __init__(self, rstype):
-        rs = build(rstype)
-        self.rstype = rstype
-        self.elems = []
-        self.ids = {}
-        self.lengths = []
-        n1 = rs.rank + 1
-        self.steps = ([[] for _ in range(n1)], [[] for _ in range(n1)])
-        self.factors = {}
-        self.products = {}
-        self.identity = self.id(ext_identity(rs))
+        rs = self.rs = build(rstype)
+        self.perms, self.fids, self.fprod = [], {}, {}
+        self.codes, self.ids, self.lengths = [], {}, []
+        self.steps = tuple([[] for _ in range(rs.rank + 1)] for _ in range(2))
+        self.factors, self.products = {}, {}
         # what descends and _neighbour read: walls[i] is the root index of
-        # beta (i = 0) or of alpha_i, and moves[i] the finite part of r_i
-        beta = highest_short_root(rs)
+        # beta (i = 0) or of alpha_i, gens[i] the finite id of r_i's finite
+        # part, and weights[r] root r in weight coordinates
         self.npos = len(rs.positive_roots)
         self.coroots = rs.coroots
-        self.walls = [rs.index[beta]] + [rs.index[a] for a in rs.simples]
-        self.moves = [g.w for g in affine_generators(rstype)]
-        # the roots of walls in weight coordinates (alpha_i is row i of
-        # the Cartan matrix)
-        self.wall_weights = [tuple(rs.pairing(beta, j)
-                                   for j in range(rs.rank)), *rs.cartan]
+        self.simples = [rs.index[a] for a in rs.simples]
+        roots = [highest_short_root(rs), *rs.simples]
+        self.walls = [rs.index[r] for r in roots]
+        self.weights = [tuple(rs.pairing(r, j) for j in range(rs.rank))
+                        for r in rs.all_roots]
+        self.identity = self._add(
+            (self.finite(tuple(range(2 * self.npos))), (0,) * rs.rank), 0)
+        self.gens = [self.finite(WeylElement.reflection(rs, r).perm)
+                     for r in roots]
 
-    @cached_property
-    def root_weights(self):
-        """Every root in weight coordinates, for left products with r_0."""
-        rs = build(self.rstype)
-        return [tuple(rs.pairing(r, j) for j in range(rs.rank))
-                for r in rs.all_roots]
+    def finite(self, perm) -> int:
+        """The id of the finite part with root permutation perm."""
+        f = self.fids.get(perm)
+        if f is None:
+            f = self.fids[perm] = len(self.perms)
+            self.perms.append(perm)
+        return f
 
-    def _add(self, elem: ExtAffine, length: int) -> int:
-        k = self.ids.get(elem)
+    def fmul(self, f: int, h: int) -> int:
+        """The id of perms[f] * perms[h] (apply perms[h] first)."""
+        got = self.fprod.get((f, h))
+        if got is None:
+            u = self.perms[f]
+            got = self.fprod[(f, h)] = self.finite(
+                tuple(map(u.__getitem__, self.perms[h])))
+        return got
+
+    def _add(self, code, length: int) -> int:
+        k = self.ids.get(code)
         if k is None:
-            k = self.ids[elem] = len(self.elems)
-            self.elems.append(elem)
+            k = self.ids[code] = len(self.codes)
+            self.codes.append(code)
             self.lengths.append(length)
             for side in self.steps:
                 for table in side:
@@ -239,12 +242,17 @@ class _Interned:
         return k
 
     def id(self, elem: ExtAffine) -> int:
-        k = self.ids.get(elem)
-        return self._add(elem, _length(elem)) if k is None else k
+        code = (self.finite(elem.w.perm), elem.x)
+        k = self.ids.get(code)
+        return self._add(code, _length(elem)) if k is None else k
 
-    def descends(self, elem: ExtAffine, i: int, left: bool) -> bool:
-        """Whether r_i on that side shortens elem = (w, x): one root lookup
-        and at most one O(rank) pairing.
+    def elem(self, k: int) -> ExtAffine:
+        f, x = self.codes[k]
+        return ExtAffine(WeylElement._of(self.rs, self.perms[f]), x)
+
+    def descends(self, f: int, x, i: int, left: bool) -> bool:
+        """Whether r_i on that side shortens (w, x), w = perms[f]: one
+        root lookup and at most one O(rank) pairing.
 
         Write (a, k), for a root a and an integer k, for the affine root
         v -> <v, a^vee> + k; it is positive when k > 0, or k = 0 and a > 0.
@@ -265,7 +273,7 @@ class _Interned:
                      for p = <x, w^{-1}(beta)^vee>.
         Either way the length changes by exactly one, so the neighbour's
         length is the parent's plus or minus one."""
-        perm, x = elem.w.perm, elem.x
+        perm = self.perms[f]
         wall = self.walls[i]
         if left:
             r = perm.index(wall)    # w^{-1}(alpha_j) or w^{-1}(beta)
@@ -279,62 +287,68 @@ class _Interned:
         p = sum(map(mul, x, self.coroots[wall]))
         return p < -1 or p == -1 and perm[wall] < self.npos
 
-    def _neighbour(self, elem: ExtAffine, i: int, left: bool) -> ExtAffine:
-        """elem * r_i or r_i * elem, from (w, x)(w', x') = (w w',
-        w'^{-1}(x) + x') with r_i = (s_j, 0) or (s_beta, -beta):
+    def _neighbour(self, f: int, x, i: int, left: bool):
+        """The code of (w, x) r_i or r_i (w, x), from (w, x)(w', x') =
+        (w w', w'^{-1}(x) + x') with r_i = (s_j, 0) or (s_beta, -beta):
         (w, x) s_j = (w s_j, x - x_j alpha_j), (w, x) r_0 = (w s_beta,
         x - (p + 1) beta) for p = <x, beta^vee>, s_j (w, x) = (s_j w, x)
         and r_0 (w, x) = (s_beta w, x - w^{-1}(beta))."""
-        w, x = elem.w, elem.x
-        s = self.moves[i]
+        s = self.gens[i]
         if left:
             if i:
-                return ExtAffine(s * w, x)
-            shift = self.root_weights[w.perm.index(self.walls[0])]
-            return ExtAffine(s * w, tuple(map(sub, x, shift)))
+                return self.fmul(s, f), x
+            shift = self.weights[self.perms[f].index(self.walls[0])]
+            return self.fmul(s, f), tuple(map(sub, x, shift))
         if i:
             p = x[i - 1]
         else:
             p = sum(map(mul, x, self.coroots[self.walls[0]])) + 1
-        shift = self.wall_weights[i]
-        return ExtAffine(w * s, tuple(a - p * c for a, c in zip(x, shift)))
+        shift = self.weights[self.walls[i]]
+        return self.fmul(f, s), tuple(a - p * c for a, c in zip(x, shift))
 
     def step(self, k: int, i: int, left: bool) -> int:
         table = self.steps[left][i]
         got = table[k]
         if got < 0:
-            e = self.elems[k]
-            up = not self.descends(e, i, left)
-            nb = self._add(self._neighbour(e, i, left),
+            f, x = self.codes[k]
+            up = not self.descends(f, x, i, left)
+            nb = self._add(self._neighbour(f, x, i, left),
                            self.lengths[k] + (1 if up else -1))
             got = table[k] = nb << 1 | up
         return got
 
     def times(self, k: int, m: int) -> int:
-        """The id of elems[k] * elems[m].  When either factor has length
-        zero (as in every product a fold takes), the product has the
-        other's length: l(ab) <= l(a) + l(b) and l(a) <= l(ab) + l(b^{-1})."""
+        """The id of element k times element m, one of them of length zero
+        (as in every product a fold takes), so the product has the other's
+        length: l(ab) <= l(a) + l(b) and l(a) <= l(ab) + l(b^{-1}).  For
+        codes (f, x), (h, y) it is (f h, w_h^{-1}(x) + y), with
+        <w_h^{-1}(x), alpha_j^vee> = <x, w_h(alpha_j)^vee>."""
         got = self.products.get((k, m))
         if got is None:
-            e = self.elems[k] * self.elems[m]
             lk, lm = self.lengths[k], self.lengths[m]
-            got = self.products[(k, m)] = (
-                self.id(e) if lk and lm else self._add(e, lk + lm))
+            if lk and lm:
+                raise AssertionError("neither factor has length zero")
+            (f, x), (h, y) = self.codes[k], self.codes[m]
+            perm = self.perms[h]
+            pre = (sum(map(mul, x, self.coroots[perm[s]]))
+                   for s in self.simples)
+            got = self.products[(k, m)] = self._add(
+                (self.fmul(f, h), tuple(map(add, pre, y))), lk + lm)
         return got
 
     def factor(self, k: int):
-        """(omega id, word) with elems[k] = omega * r_{j_1} ... r_{j_m} and
-        the word reduced: step down the first right descent, in generator
-        order, while the length is positive.  Only the descent chain is
-        interned."""
+        """(omega id, word) with element k = omega * r_{j_1} ... r_{j_m}
+        and the word reduced: step down the first right descent, in
+        generator order, while the length is positive.  Only the descent
+        chain is interned."""
         got = self.factors.get(k)
         if got is None:
             tail = []
             e = k
             gens = range(len(self.walls))
             while self.lengths[e]:
-                elem = self.elems[e]
-                i = next((i for i in gens if self.descends(elem, i, False)),
+                f, x = self.codes[e]
+                i = next((i for i in gens if self.descends(f, x, i, False)),
                          None)
                 if i is None:
                     raise AssertionError(
@@ -370,11 +384,8 @@ def is_dominant(rs, x) -> bool:
 
 def highest_short_root(rs):
     short = min(rs.norm2(s) for s in rs.simples)
-    hi = None
-    for r in rs.positive_roots:         # ordered by height
-        if rs.norm2(r) == short:
-            hi = r
-    return hi
+    # the positive roots are ordered by height
+    return [r for r in rs.positive_roots if rs.norm2(r) == short][-1]
 
 
 @lru_cache(maxsize=None)
@@ -382,13 +393,11 @@ def affine_generators(rstype):
     """(r_0, r_1, ..., r_n); index i >= 1 is the finite reflection in a_i,
     r_0 reflects through the affine wall of the highest short root."""
     rs = build(rstype)
-    zero = (0,) * rs.rank
-    gens = [None]
-    for j in range(rs.rank):
-        gens.append(ExtAffine(WeylElement.simple(rs, j), zero))
     beta = highest_short_root(rs)
-    minus_beta = tuple(-rs.pairing(beta, j) for j in range(rs.rank))
-    gens[0] = ExtAffine(WeylElement.reflection(rs, beta), minus_beta)
+    gens = [ExtAffine(WeylElement.reflection(rs, beta),
+                      tuple(-rs.pairing(beta, j) for j in range(rs.rank)))]
+    gens += [ExtAffine(WeylElement.simple(rs, j), (0,) * rs.rank)
+             for j in range(rs.rank)]
     for g in gens:
         # _length, not length: building the type's _Interned table reads
         # these generators, so they cannot be interned while being built
@@ -418,10 +427,9 @@ def omega_group(rstype):
                 continue
             x = tuple(0 if w.perm[rs.index[a]] < npos else -1
                       for a in rs.simples)
-            e = ExtAffine(w, x)
             # the test alone: length() would intern every candidate
-            if not g.descends(e, 0, False):
-                out.append(e)
+            if not g.descends(g.finite(w.perm), x, 0, False):
+                out.append(ExtAffine(w, x))
     if len(out) != target:
         # a wrong count, not an input refused
         raise AssertionError(
@@ -435,7 +443,7 @@ def _factor(elem: ExtAffine):
     """elem = omega * r_{j_1} ... r_{j_m} with the word reduced."""
     g = _interned(elem.w.rs.rstype)
     om, word = g.factor(g.id(elem))
-    return g.elems[om], word
+    return g.elem(om), word
 
 
 def tau_rotation(rstype):
@@ -614,7 +622,7 @@ def hecke_mul(a: HeckeElement, b: HeckeElement,
             raise HeckeError(
                 f"product support exceeded the {term_budget}-term budget")
     lo = lo_seed + lo_rest
-    return HeckeElement(rs, {g.elems[e]: _unpack(c, lo, bits)
+    return HeckeElement(rs, {g.elem(e): _unpack(c, lo, bits)
                              for e, c in out.items() if c})
 
 
@@ -632,9 +640,9 @@ def _basis_inverse(rstype, elem: ExtAffine) -> HeckeElement:
         for e, c in h.items():
             folded[e] = folded.get(e, 0) + c - (c << shift)
         h = folded
-    inv = g.id(g.elems[om].inverse())
-    return HeckeElement(build(rstype), {
-        g.elems[g.times(e, inv)]: _unpack(c, -2 * len(word), bits)
+    inv = g.id(g.elem(om).inverse())
+    return HeckeElement(g.rs, {
+        g.elem(g.times(e, inv)): _unpack(c, -2 * len(word), bits)
         for e, c in h.items() if c})
 
 
@@ -658,8 +666,7 @@ def _theta_parts(rs, x):
 def _theta(rstype, x) -> HeckeElement:
     rs = build(rstype)
     y, z = _theta_parts(rs, x)
-    ty = ext_translation(rs, y)
-    tz = ext_translation(rs, z)
+    ty, tz = ext_translation(rs, y), ext_translation(rs, z)
     head = HeckeElement.basis(rs, ty, Laurent({length(tz) - length(ty): 1}))
     if not any(z):
         return head
@@ -696,16 +703,11 @@ def build_D_Dprime(rs):
     if rs.rank > DD_RANK_CAP:
         raise HeckeError(f"rank {rs.rank} is over the rank-{DD_RANK_CAP} cap "
                          f"(DD_RANK_CAP) of the spanning sums")
-    zero = (0,) * rs.rank
-    d_terms = {}
-    dp_terms = {}
-    for w in enumerate_group(rs):
-        lw = w.length()
-        e = ExtAffine(w, zero)
-        d_terms[e] = L_ONE
-        dp_terms[e] = Laurent({-2 * lw: (-1) ** lw})
-    d = HeckeElement(rs, d_terms)
-    dp = HeckeElement(rs, dp_terms)
+    group = enumerate_group(rs)
+    elems = [ExtAffine(w, (0,) * rs.rank) for w in group]
+    d = HeckeElement(rs, dict.fromkeys(elems, L_ONE))
+    dp = HeckeElement(rs, {e: Laurent({-2 * lw: (-1) ** lw})
+                           for e, lw in zip(elems, group.lengths.tolist())})
     minus = Laurent({0: -1})
     for j in range(rs.rank):
         tr = HeckeElement.basis(rs, affine_generators(rs.rstype)[j + 1])
@@ -763,13 +765,11 @@ def one_dim_character(rstype, assignment) -> dict:
     n1 = rs.rank + 1
     if sorted(assignment) != list(range(n1)):
         raise HeckeError(f"assignment must cover generator indices 0..{rs.rank}")
-    vals = {}
     for i, v in assignment.items():
         if v not in ("q", "-1"):
             raise HeckeError(f"scalar at index {i} must be 'q' or '-1'")
-        vals[i] = v
     for group in braid_classes(rstype):
-        if len({vals[i] for i in group}) > 1:
+        if len({assignment[i] for i in group}) > 1:
             raise HeckeError(
                 f"generators {group} are braid-linked by an odd bond and "
                 f"must act by the same scalar")
@@ -777,27 +777,18 @@ def one_dim_character(rstype, assignment) -> dict:
     for i in range(rs.rank):
         x = tuple(rs.cartan[i])     # the simple root in weight coordinates
         y, z = _theta_parts(rs, x)
-        ty = ext_translation(rs, y)
-        tz = ext_translation(rs, z)
+        ty, tz = ext_translation(rs, y), ext_translation(rs, z)
         om_y, word_y = _factor(ty)
         om_z, word_z = _factor(tz)
         if om_y != om_z:
             raise AssertionError(
                 "translations by weights in the same root-lattice coset "
                 "must share their length-zero part")
-        sign = 1
-        qexp2 = length(tz) - length(ty)     # twice the exponent of q
-        for j in word_y:
-            if vals[j] == "q":
-                qexp2 += 2
-            else:
-                sign = -sign
-        for j in word_z:
-            if vals[j] == "q":
-                qexp2 -= 2
-            else:
-                sign = -sign
-        out[i + 1] = Laurent({qexp2: sign})
+        ups = (sum(assignment[j] == "q" for j in word_y)
+               - sum(assignment[j] == "q" for j in word_z))
+        sign = (-1) ** sum(assignment[j] == "-1" for j in word_y + word_z)
+        # twice the exponent of q
+        out[i + 1] = Laurent({length(tz) - length(ty) + 2 * ups: sign})
     return out
 
 
@@ -819,13 +810,6 @@ F4_WORD = (0, 4, 3, 2, 1, 3, 4, 2, 3, 2, 4, 3, 1, 2, 3, 4)
 G2_WORDS = {1: (0, 1, 2, 1, 2, 1), 2: (0, 1, 2, 1, 2, 0, 1, 2, 1, 2)}
 
 
-def _word_product(rs, gens, word, prefix=None):
-    e = prefix if prefix is not None else ext_identity(rs)
-    for j in word:
-        e = e * gens[j]
-    return e
-
-
 def verify_translation_words():
     """Check every recorded translation word against the group law.
 
@@ -842,15 +826,11 @@ def verify_translation_words():
 
     for n in range(1, 5):
         rstype = parse_type(f"A{n}")
-        rs = build(rstype)
-        gens = affine_generators(rstype)
+        rs, gens = build(rstype), affine_generators(rstype)
         tau = tau_rotation(rstype)
         for i in range(1, n + 1):
             word = _a_type_word(n, i)
-            prefix = ext_identity(rs)
-            for _ in range(n + 1 - i):
-                prefix = prefix * tau
-            got = _word_product(rs, gens, word, prefix)
+            got = reduce(mul, [tau] * (n + 1 - i) + [gens[j] for j in word])
             target = ext_translation(rs, tuple(int(j == i - 1)
                                                for j in range(n)))
             ok = (got == target and length(target) == len(word)
@@ -858,24 +838,22 @@ def verify_translation_words():
             rec(f"a{n}-x{i}", ok,
                 f"rotation power {n + 1 - i} then {len(word)} letters lands "
                 f"on the fundamental translation x{i}, length {i * (n + 1 - i)}")
-    rstype = parse_type("F4")
-    rs = build(rstype)
-    gens = affine_generators(rstype)
-    got = _word_product(rs, gens, F4_WORD)
+    rs = build(parse_type("F4"))
+    gens = affine_generators(rs.rstype)
+    got = reduce(mul, [gens[j] for j in F4_WORD])
     target = ext_translation(rs, (0, 0, 0, 1))
     rec("f4-x4", got == target and length(target) == len(F4_WORD),
         "the recorded 16-letter word is a reduced expression of the fourth "
         "fundamental translation")
-    rstype = parse_type("G2")
-    rs = build(rstype)
-    gens = affine_generators(rstype)
+    rs = build(parse_type("G2"))
+    gens = affine_generators(rs.rstype)
     for i, word in sorted(G2_WORDS.items()):
-        got = _word_product(rs, gens, word)
+        got = reduce(mul, [gens[j] for j in word])
         target = ext_translation(rs, tuple(int(j == i - 1) for j in range(2)))
         rec(f"g2-x{i}", got == target and length(target) == len(word),
             f"the recorded {len(word)}-letter word is a reduced expression "
             f"of the fundamental translation x{i}")
-    fw = build(parse_type("G2")).fundamental_weights
+    fw = rs.fundamental_weights
     rec("g2-lattice", tuple(fw[0]) == (2, 1) and tuple(fw[1]) == (3, 2),
         "in root coordinates the fundamental weights are 2a1+a2 and 3a1+2a2")
     g0, g2 = gens[0], gens[2]
@@ -904,15 +882,13 @@ def _theta_translated(rstype, x, shift) -> HeckeElement:
 
 
 def _cleared_theta_product(rs, x, y, zc):
-    """theta_x * theta_y * T_{t_zc} with zc dominating y's denominator:
-    the right factor collapses to honest basis folds, and the scalar
-    q^{(l(z)-l(y))/2} of theta_y is applied to the product."""
+    """theta_x * theta_y * T_{t_zc} with zc dominating y's denominator,
+    without theta_y's scalar v^(l(t_z) - l(t_y)): the right factor
+    collapses to the basis element T_{t_u}, u = y + zc - z for y's
+    canonical (y, z), so this is theta_x T_{t_u}."""
     yy, zy = _theta_parts(rs, y)
     shift = tuple(a + b - c for a, b, c in zip(yy, zc, zy))
-    return _theta_translated(
-        rs.rstype, tuple(int(a) for a in x), shift).scale(
-        Laurent({length(ext_translation(rs, zy)) -
-                 length(ext_translation(rs, yy)): 1}))
+    return _theta_translated(rs.rstype, x, shift)
 
 
 def verify_bernstein(rstype, radius=2):
@@ -921,15 +897,17 @@ def verify_bernstein(rstype, radius=2):
     For each pair x, y the products theta_x theta_y and theta_y theta_x are
     compared with theta_{x+y} after clearing the one shared denominator by a
     dominant translation (an invertible basis element, so equality before
-    and after clearing agree).  A cleared product is a scalar times
-    theta_x T_{t_u} for one translation t_u, and many pairs share their
+    and after clearing agree).  A cleared product is v^k theta_x T_{t_u},
+    k = l(t_z) - l(t_y) for y's canonical (y, z), and pairs share their
     (x, u) (144 distinct of 625 ordered pairs at radius 2 on A2, B2 and
-    G2), so each distinct theta_x T_{t_u} is computed once; every ordered
-    pair is still compared with its own target.  The radius must be a
-    positive integer: a ball of radius 0 would compare only theta_0 with
-    itself and vouch for nothing.  Decomposition independence of theta and
-    centrality of the orbit sums over the fundamental weights are checked
-    directly.  Returns the three `<type>.ball` records; a failing record's
+    G2), so each distinct theta_x T_{t_u} is computed once.  The target
+    is theta_{x+y} T_{t_zc} = v^m T_{t_s}, and a pair passes when
+    theta_x T_{t_u} has one term, at t_s, with coefficient v^(m - k):
+    scaling by a monomial is injective, so that is the equality itself.
+    The radius must be a positive integer: a ball of radius 0 would
+    compare only theta_0 with itself and vouch for nothing.  Decomposition
+    independence of theta and centrality of the orbit sums over the
+    fundamental weights are checked directly.  Returns the three `<type>.ball` records; a failing record's
     computed side also names the offending pairs (at most five products)."""
     if isinstance(radius, bool) or not isinstance(radius, int) or radius < 1:
         raise HeckeError(
@@ -950,25 +928,33 @@ def verify_bernstein(rstype, radius=2):
             statement, {"failures": 0}, computed,
             "fail" if bad else "pass"))
 
+    @lru_cache(maxsize=None)
+    def translation(x):
+        """t_x and its length, built once per weight in this call."""
+        t = ext_translation(rs, x)
+        return t, length(t)
+
+    def exponent(y, z):     # the power of v in theta_{y - z}
+        return translation(z)[1] - translation(y)[1]
+
     ball = _ball(rs.rank, radius)
     bad = []
     pairs = 0
     for ix, x in enumerate(ball):
         for y in ball[ix:]:
-            s = tuple(a + b for a, b in zip(x, y))
+            s = tuple(map(add, x, y))
             ys, zs = _theta_parts(rs, s)
+            m = exponent(ys, zs)
             orders = ((x, y),) if x == y else ((x, y), (y, x))
             pairs += 1
             for a, b in orders:
-                _, zb = _theta_parts(rs, b)
-                zc = tuple(max(p, q) for p, q in zip(zb, zs))
-                target = HeckeElement.basis(
-                    rs,
-                    ext_translation(rs, tuple(p + q - r for p, q, r
-                                              in zip(ys, zc, zs))),
-                    Laurent({length(ext_translation(rs, zs)) -
-                             length(ext_translation(rs, ys)): 1}))
-                if _cleared_theta_product(rs, a, b, zc) != target:
+                yb, zb = _theta_parts(rs, b)
+                zc = tuple(map(max, zb, zs))
+                target = translation(tuple(p + q - r for p, q, r
+                                           in zip(ys, zc, zs)))[0]
+                want = {target: Laurent({m - exponent(yb, zb): 1})}
+                got = _cleared_theta_product(rs, a, b, zc)
+                if not isinstance(got, HeckeElement) or got.terms != want:
                     bad.append((a, b))
     rec("theta-products",
         f"products and transposes of {pairs} weight pairs at radius {radius} "
@@ -986,11 +972,10 @@ def verify_bernstein(rstype, radius=2):
         for k in (1, 2):
             y = tuple(a + k * b for a, b in zip(y0, rho))
             z = tuple(a + k * b for a, b in zip(z0, rho))
-            ty, tz = ext_translation(rs, y), ext_translation(rs, z)
             alt = hecke_mul(
-                HeckeElement.basis(rs, ty,
-                                   Laurent({length(tz) - length(ty): 1})),
-                basis_inverse(rs, tz))
+                HeckeElement.basis(rs, translation(y)[0],
+                                   Laurent({exponent(y, z): 1})),
+                basis_inverse(rs, translation(z)[0]))
             if alt != base:
                 indep_bad.append((x, k))
     rec("theta-independence",

@@ -200,28 +200,59 @@ def _root_matrix(rstype):
 
 
 @lru_cache(maxsize=None)
+def _height_steps(rstype):
+    """One (b, a, b') triple of root-index lists per height above one:
+    every positive root b of that height has a simple root a = alpha_t
+    with <b, alpha_t^vee> > 0, so b' = s_t(b) is one lower."""
+    rs = build(rstype)
+    steps = {}
+    for root in rs.positive_roots:
+        if rs.height(root) > 1:
+            t = next(t for t in range(rs.rank) if rs.pairing(root, t) > 0)
+            steps.setdefault(rs.height(root), []).append(
+                (rs.index[root], rs.index[rs.simples[t]],
+                 rs.index[rs.reflect(root, t)]))
+    return [tuple(zip(*steps[h])) for h in sorted(steps)]
+
+
+@lru_cache(maxsize=None)
 def _reflection_table(rstype):
     """refl[b, r] = root index of s_b(r), for every pair of roots (int16).
 
-    Built up the heights from the simple reflections: a positive root b of
-    height above one has a simple root alpha_t with <b, alpha_t^vee> > 0,
-    so b' = s_t(b) is lower and s_b = s_t s_b' s_t; and s_-b = s_b."""
+    Built up the heights from the simple reflections: for b, a = alpha_t
+    and b' = s_t(b) from _height_steps, s_b = s_t s_b' s_t; and
+    s_-b = s_b."""
     rs = build(rstype)
     npos = len(rs.positive_roots)
-    simple = [rs.index[a] for a in rs.simples]
     refl = np.empty((2 * npos, 2 * npos), dtype=np.int16)
-    for j, a in enumerate(simple):
-        refl[a] = [rs.index[rs.reflect(r, j)] for r in rs.all_roots]
+    for j, a in enumerate(rs.simples):
+        refl[rs.index[a]] = [rs.index[rs.reflect(r, j)] for r in rs.all_roots]
+    for level in _height_steps(rstype):
+        for b, a, b2 in zip(*level):
+            st = refl[a]
+            refl[b] = st[refl[b2][st]]
     every = np.arange(2 * npos)
     for b, root in enumerate(rs.positive_roots):
-        if rs.height(root) > 1:
-            t = next(t for t in range(rs.rank) if rs.pairing(root, t) > 0)
-            st = refl[simple[t]]
-            refl[b] = st[refl[rs.index[rs.reflect(root, t)]][st]]
         if refl[b, b] != b + npos or (refl[b][refl[b]] != every).any():
             raise AssertionError(f"s_{root} is not a reflection of {rstype}")
     refl[npos:] = refl[:npos]
     return refl
+
+
+def _whole_perms(rs: RootSystem, rows):
+    """The WeylElement permutations of a (B, rank) batch of rows: the
+    simple columns are the rows, each higher positive root is filled by one
+    reflection-table gather per height, w(b) = w(s_t(b')) =
+    s_{w(alpha_t)}(w(b')) for _height_steps' triples, and w(-b) = -w(b)."""
+    npos = len(rs.positive_roots)
+    perm = np.empty((rows.shape[0], 2 * npos), dtype=np.int16)
+    perm[:, [rs.index[a] for a in rs.simples]] = rows
+    refl = _reflection_table(rs.rstype)
+    for b, a, b2 in _height_steps(rs.rstype):
+        perm[:, b] = refl[perm[:, a], perm[:, b2]]
+    negate = np.roll(np.arange(2 * npos, dtype=np.int16), npos)
+    perm[:, npos:] = negate[perm[:, :npos]]
+    return perm
 
 
 def _right_mul(rs: RootSystem, x, j: int):
@@ -266,14 +297,15 @@ class GroupEnumeration:
         return list(zip([0] + bounds[:-1], bounds))
 
     def element(self, i: int) -> WeylElement:
-        roots = self.rs.all_roots
-        return WeylElement(self.rs, [roots[r] for r in self.perms[i].tolist()])
+        perm = _whole_perms(self.rs, self.perms[i:i + 1])[0]
+        return WeylElement._of(self.rs, tuple(perm.tolist()))
 
     def __iter__(self):
-        """The elements in row order."""
-        roots = self.rs.all_roots
-        for row in self.perms.tolist():
-            yield WeylElement(self.rs, [roots[r] for r in row])
+        """The elements in row order, filled a batch of rows at a time."""
+        for lo in range(0, len(self), 4096):
+            batch = _whole_perms(self.rs, self.perms[lo:lo + 4096])
+            for perm in batch.tolist():
+                yield WeylElement._of(self.rs, tuple(perm))
 
 
 _ENUM_CACHE: dict = {}

@@ -7,6 +7,7 @@ group for the dominance criterion.  Everything else is pinned to small
 hand-checkable values.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -203,7 +204,8 @@ def test_omega_group_interns_no_candidate(monkeypatch):
     table = hecke._interned(d4)
     omega_group.cache_clear()
     assert len(omega_group(d4)) == 4
-    assert table.elems == [ext_identity(build(d4))]
+    assert [table.elem(k) for k in range(len(table.codes))] == [
+        ext_identity(build(d4))]
 
 
 def test_omega_is_closed_under_product():
@@ -261,9 +263,10 @@ def test_descent_test_and_neighbours_match_the_group_law(name):
                 prod = r * e if left else e * r
                 lp = hecke._length(prod)
                 assert abs(lp - le) == 1
-                assert g.descends(e, i, left) == (lp < le), (e, i, left)
+                assert g.descends(g.finite(e.w.perm), e.x, i, left) == (
+                    lp < le), (e, i, left)
                 s = g.step(k, i, left)
-                assert g.elems[s >> 1] == prod
+                assert g.elem(s >> 1) == prod
                 assert g.lengths[s >> 1] == lp
                 assert s & 1 == (lp > le)
 
@@ -275,9 +278,10 @@ def test_stored_lengths_after_units_equal_the_root_sum(monkeypatch):
         cached.cache_clear()
     cfg = RunConfig(cases=("hecke.characters", "A2.ball"))
     assert all(r["status"] == "pass" for r in verify_all(cfg).records)
-    assert sum(len(g.elems) for g in hecke._INTERNED.values()) > 1000
+    assert sum(len(g.codes) for g in hecke._INTERNED.values()) > 1000
     for g in hecke._INTERNED.values():
-        for e, got in zip(g.elems, g.lengths):
+        for k, got in enumerate(g.lengths):
+            e = g.elem(k)
             assert got == hecke._length(e), e
 
 
@@ -322,17 +326,23 @@ def test_factor_walks_only_descents(monkeypatch):
     rs = rs_of("F4")
     g = hecke._Interned(rs.rstype)
     k = g.id(ext_translation(rs, rs.cartan[0]))   # from outside: summed once
+    a2 = rs_of("A2")
+    h = hecke._Interned(a2.rstype)
+    t = h.id(ext_translation(a2, (2, -1)))
+    om = h.id(omega_group(a2.rstype)[1])
+    inv = h.id(omega_group(a2.rstype)[1].inverse())
 
     def refused(*args):
         raise AssertionError("a table fill rebuilt an element")
 
     monkeypatch.setattr(hecke, "_length", refused)
     monkeypatch.setattr(ExtAffine, "__mul__", refused)
-    om, word = g.factor(k)
-    assert g.elems[om].is_identity() and len(word) == g.lengths[k] == 22
+    monkeypatch.setattr(WeylElement, "__mul__", refused)
+    om_f4, word = g.factor(k)
+    assert g.elem(om_f4).is_identity() and len(word) == g.lengths[k] == 22
     # the descent chain and nothing else: the chain ends at the identity,
     # which was interned first
-    assert len(g.elems) == 1 + len(word)
+    assert len(g.codes) == 1 + len(word)
     assert all(s == -1 for table in g.steps[True] for s in table)
     filled = [s for table in g.steps[False] for s in table if s >= 0]
     assert len(filled) == len(word)
@@ -342,6 +352,14 @@ def test_factor_walks_only_descents(monkeypatch):
         for left in (False, True):
             s = g.step(k, i, left)
             assert g.lengths[s >> 1] == 22 + (1 if s & 1 else -1)
+    # and so do products with a length-zero element
+    t_om, om_t = h.times(t, om), h.times(om, t)
+    back = h.times(t_om, inv)
+    monkeypatch.undo()
+    assert h.elem(t_om) == h.elem(t) * h.elem(om)
+    assert h.elem(om_t) == h.elem(om) * h.elem(t)
+    assert back == t
+    assert h.lengths[t_om] == h.lengths[om_t] == h.lengths[t]
 
 
 # ---------------------------------------------------------------------------
@@ -723,3 +741,46 @@ def test_theta_products_fold_each_distinct_product_once(monkeypatch):
     distinct = set(ball_product_keys(rs, 2).values())
     assert len(distinct) == 144
     assert at_claim["theta-products"] == len(distinct)
+
+
+# sha256 of canonical_dump(name): computed with the engine that interned
+# ExtAffine objects, before elements became integer codes (f, x)
+GOLDEN_PRODUCTS = {
+    "A2": "c2bdd8a1d0721cf3846a87a35fda00658c54884338ff5d2686ed7fdc8d47d637",
+    "B2": "0316c545c9e51790cb5c334b9b1980a521f32b67483a9baf111434a4584511bd",
+    "G2": "e7f4da709d400e02fc3a3b3bcdb0f10e8661c5bff9141ad75903d0d81ba114b6",
+}
+
+
+def canonical_dump(name, radius=2):
+    """Every theta_x on the ball, every distinct theta_x T_{t_u} the
+    theta-products check folds, and every T_{t_x}^{-1} for x on the ball,
+    as sorted json: terms as (x, simple-root images, coefficients)."""
+    rs = rs_of(name)
+    ball = hecke._ball(rs.rank, radius)
+
+    def canon(h):
+        return sorted([list(e.x), [list(r) for r in e.w.images],
+                       sorted(c.c.items())] for e, c in h.terms.items())
+
+    keys = sorted(set(ball_product_keys(rs, radius).values()))
+    dump = {
+        "theta": [[list(x), canon(theta(rs, x))] for x in ball],
+        "translated": [
+            [list(x), list(u), canon(hecke._theta_translated(rs.rstype, x, u))]
+            for x, u in keys],
+        "inverse": [[list(x), canon(basis_inverse(rs, ext_translation(rs, x)))]
+                    for x in ball],
+    }
+    assert len(keys) == 144
+    return json.dumps(dump, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PRODUCTS))
+def test_ball_products_are_golden(name, monkeypatch):
+    monkeypatch.setattr(hecke, "_INTERNED", {})
+    for cached in (hecke._theta, hecke._theta_translated,
+                   hecke._basis_inverse):
+        cached.cache_clear()
+    got = hashlib.sha256(canonical_dump(name).encode()).hexdigest()
+    assert got == GOLDEN_PRODUCTS[name]

@@ -511,3 +511,15 @@ def test_simple_reflection_order_two():
         s = WeylElement.simple(rs, j)
         assert s.order() == 2
         assert s.length() == 1
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D5"])
+def test_iteration_fills_the_constructor_permutations(name):
+    rs = build(parse_type(name))
+    group = enumerate_group(rs)
+    roots = rs.all_roots
+    built = [WeylElement(rs, [roots[r] for r in row])
+             for row in group.perms.tolist()]
+    assert [w.perm for w in group] == [w.perm for w in built]
+    for i in (0, 1, len(group) // 2, len(group) - 1):
+        assert group.element(i).perm == built[i].perm
