@@ -248,7 +248,10 @@ def build_parser():
     q.add_argument("--config", metavar="FILE",
                    help="JSON configuration file; flags override it")
     q.add_argument("--format", choices=("json", "text"), dest="fmt")
-    q.add_argument("--jobs", type=int, metavar="N")
+    q.add_argument("--jobs", type=int, metavar="N",
+                   help="worker processes (default 1); the units whose "
+                        "case ids share the part before the first dot (all "
+                        "of B6.*, say) run as one bundle in one worker")
     q.add_argument("--prime-bound", type=int, dest="prime_bound")
     q.add_argument("--state-budget", type=int, dest="state_budget")
     q.add_argument("--enum-budget", type=int, dest="enum_budget")

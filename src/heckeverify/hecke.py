@@ -250,9 +250,9 @@ class _Interned:
         f, x = self.codes[k]
         return ExtAffine(WeylElement._of(self.rs, self.perms[f]), x)
 
-    def descends(self, f: int, x, i: int, left: bool) -> bool:
-        """Whether r_i on that side shortens (w, x), w = perms[f]: one
-        root lookup and at most one O(rank) pairing.
+    def descends(self, perm, x, i: int, left: bool) -> bool:
+        """Whether r_i on that side shortens (w, x), for w's root
+        permutation perm: one root lookup and at most one O(rank) pairing.
 
         Write (a, k), for a root a and an integer k, for the affine root
         v -> <v, a^vee> + k; it is positive when k > 0, or k = 0 and a > 0.
@@ -273,7 +273,6 @@ class _Interned:
                      for p = <x, w^{-1}(beta)^vee>.
         Either way the length changes by exactly one, so the neighbour's
         length is the parent's plus or minus one."""
-        perm = self.perms[f]
         wall = self.walls[i]
         if left:
             r = perm.index(wall)    # w^{-1}(alpha_j) or w^{-1}(beta)
@@ -311,7 +310,7 @@ class _Interned:
         got = table[k]
         if got < 0:
             f, x = self.codes[k]
-            up = not self.descends(f, x, i, left)
+            up = not self.descends(self.perms[f], x, i, left)
             nb = self._add(self._neighbour(f, x, i, left),
                            self.lengths[k] + (1 if up else -1))
             got = table[k] = nb << 1 | up
@@ -348,8 +347,9 @@ class _Interned:
             gens = range(len(self.walls))
             while self.lengths[e]:
                 f, x = self.codes[e]
-                i = next((i for i in gens if self.descends(f, x, i, False)),
-                         None)
+                perm = self.perms[f]
+                i = next((i for i in gens
+                          if self.descends(perm, x, i, False)), None)
                 if i is None:
                     raise AssertionError(
                         "element of positive length with no descent")
@@ -428,7 +428,7 @@ def omega_group(rstype):
             x = tuple(0 if w.perm[rs.index[a]] < npos else -1
                       for a in rs.simples)
             # the test alone: length() would intern every candidate
-            if not g.descends(g.finite(w.perm), x, 0, False):
+            if not g.descends(w.perm, x, 0, False):
                 out.append(ExtAffine(w, x))
     if len(out) != target:
         # a wrong count, not an input refused
@@ -585,15 +585,10 @@ def _fold_gen(g: _Interned, terms, i, left, shift):
     return out
 
 
-def hecke_mul(a: HeckeElement, b: HeckeElement,
-              term_budget: int = DEFAULT_TERM_BUDGET) -> HeckeElement:
-    """Exact product; folds the factor with the shorter total word length."""
-    if a.rs is not b.rs:
-        raise HeckeError("factors live over different root systems")
-    rs = a.rs
-    g = _interned(rs.rstype)
-    ta = [(g.id(e), c) for e, c in a.terms.items()]
-    tb = [(g.id(e), c) for e, c in b.terms.items()]
+def _mul_codes(g: _Interned, ta, tb, term_budget=DEFAULT_TERM_BUDGET):
+    """The product of two elements given as (id, Laurent) pairs, as a dict
+    id -> nonzero Laurent; folds the factor with the shorter total word
+    length."""
     right = sum(g.lengths[k] for k, _ in tb) <= sum(g.lengths[k] for k, _ in ta)
     # fold each seed's reduced word into the other factor
     seeds, rest = (tb, ta) if right else (ta, tb)
@@ -622,16 +617,27 @@ def hecke_mul(a: HeckeElement, b: HeckeElement,
             raise HeckeError(
                 f"product support exceeded the {term_budget}-term budget")
     lo = lo_seed + lo_rest
-    return HeckeElement(rs, {g.elem(e): _unpack(c, lo, bits)
-                             for e, c in out.items() if c})
+    return {e: _unpack(c, lo, bits) for e, c in out.items() if c}
+
+
+def hecke_mul(a: HeckeElement, b: HeckeElement,
+              term_budget: int = DEFAULT_TERM_BUDGET) -> HeckeElement:
+    """Exact product; folds the factor with the shorter total word length."""
+    if a.rs is not b.rs:
+        raise HeckeError("factors live over different root systems")
+    g = _interned(a.rs.rstype)
+    out = _mul_codes(g, [(g.id(e), c) for e, c in a.terms.items()],
+                     [(g.id(e), c) for e, c in b.terms.items()], term_budget)
+    return HeckeElement(a.rs, {g.elem(e): c for e, c in out.items()})
 
 
 @lru_cache(maxsize=4096)
-def _basis_inverse(rstype, elem: ExtAffine) -> HeckeElement:
-    """T_elem^{-1}, from T_r^{-1} = q^{-1} (T_r + 1 - q): the word's factors
-    are folded with nonnegative exponents and q^{-m} is applied at the end."""
-    g = _interned(rstype)
-    om, word = g.factor(g.id(elem))
+def _basis_inverse(g: _Interned, k: int) -> tuple:
+    """T_k^{-1} as (id, Laurent) pairs, from T_r^{-1} = q^{-1} (T_r + 1 - q):
+    the word's factors are folded with nonnegative exponents and q^{-m} is
+    applied at the end.  Keyed by the table itself, so an id is never read
+    against another table."""
+    om, word = g.factor(k)
     bits = _digits(3 ** len(word))
     shift = 2 * bits
     h = {g.identity: 1}
@@ -641,13 +647,14 @@ def _basis_inverse(rstype, elem: ExtAffine) -> HeckeElement:
             folded[e] = folded.get(e, 0) + c - (c << shift)
         h = folded
     inv = g.id(g.elem(om).inverse())
-    return HeckeElement(g.rs, {
-        g.elem(g.times(e, inv)): _unpack(c, -2 * len(word), bits)
-        for e, c in h.items() if c})
+    return tuple((g.times(e, inv), _unpack(c, -2 * len(word), bits))
+                 for e, c in h.items() if c)
 
 
 def basis_inverse(rs, elem: ExtAffine) -> HeckeElement:
-    return _basis_inverse(rs.rstype, elem)
+    g = _interned(rs.rstype)
+    return HeckeElement(g.rs, {g.elem(e): c
+                               for e, c in _basis_inverse(g, g.id(elem))})
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +674,12 @@ def _theta(rstype, x) -> HeckeElement:
     rs = build(rstype)
     y, z = _theta_parts(rs, x)
     ty, tz = ext_translation(rs, y), ext_translation(rs, z)
-    head = HeckeElement.basis(rs, ty, Laurent({length(tz) - length(ty): 1}))
+    scalar = Laurent({length(tz) - length(ty): 1})
     if not any(z):
-        return head
-    return hecke_mul(head, basis_inverse(rs, tz))
+        return HeckeElement.basis(rs, ty, scalar)
+    g = _interned(rstype)
+    out = _mul_codes(g, [(g.id(ty), scalar)], _basis_inverse(g, g.id(tz)))
+    return HeckeElement(rs, {g.elem(e): c for e, c in out.items()})
 
 
 def theta(rs, x) -> HeckeElement:

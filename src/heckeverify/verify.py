@@ -5,9 +5,12 @@ tagged with a stage and a case id.  A unit returns finished report records:
 it builds them from engine counts, or passes on the records of an engine
 that judges the claim itself.  Units run in a fixed order (root data,
 finite groups, partitions, torus points, nilpotent orbit cases, Hecke
-identities); with --jobs they fan out to worker processes, but records are
-assembled in plan order, so the emitted report is byte-identical no matter
-how many workers ran.
+identities).  With --jobs the plan is cut into bundles, one per case-id
+prefix (the part before the first dot: every `B6.*` unit, every
+`partitions.*` unit, ...), so that a worker builds a type's tables once;
+a bundle is handed to a worker process at the plan position of its last
+unit, and records are put back in plan order, so the emitted report is
+byte-identical no matter how many workers ran.
 
 A unit failure never aborts the sweep: a refusal, one of the engine error
 classes in REFUSALS (a budget, a prime bound, an enumeration size or a rank
@@ -594,6 +597,22 @@ def _run_entry(entry):
                                    "no exception", raised, "fail")]
 
 
+def _run_bundle(entries):
+    return [_run_entry(e) for e in entries]
+
+
+def _bundles(plan):
+    """The plan's positions grouped by case-id prefix, each group in plan
+    order, the groups ordered by the position of their last unit.  By the
+    last unit, the partitions bundle (with the long inequalities unit) goes
+    out before every type bundle that reaches the torus, orbit or Hecke
+    stages; by the first, it would start after all of them."""
+    groups = {}
+    for k, (_, case, _, _) in enumerate(plan):
+        groups.setdefault(case.split(".", 1)[0], []).append(k)
+    return sorted(groups.values(), key=lambda ks: ks[-1])
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     config: RunConfig
@@ -621,11 +640,17 @@ def verify_all(config: RunConfig = None) -> VerificationReport:
         if missing:
             raise ConfigError(f"unknown case ids: {', '.join(missing)}")
         plan = [e for e in plan if e[1] in config.cases]
-    if config.jobs > 1 and len(plan) > 1:
-        # fork starts every worker at once, so no more than there are units
-        workers = min(config.jobs, len(plan))
+    bundles = _bundles(plan) if config.jobs > 1 else ()
+    if len(bundles) > 1:
+        # fork starts every worker at once, so no more than there are bundles
+        workers = min(config.jobs, len(bundles))
+        chunks = [None] * len(plan)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_entry, plan))
+            done = pool.map(_run_bundle, [[plan[k] for k in ks]
+                                          for ks in bundles])
+            for ks, got in zip(bundles, done):
+                for k, chunk in zip(ks, got):
+                    chunks[k] = chunk
     else:
         chunks = [_run_entry(e) for e in plan]
     records = [rec for chunk in chunks for rec in chunk]

@@ -203,9 +203,11 @@ def test_omega_group_interns_no_candidate(monkeypatch):
     monkeypatch.setattr(hecke, "_INTERNED", {})
     table = hecke._interned(d4)
     omega_group.cache_clear()
+    finite_ids = len(table.perms)
     assert len(omega_group(d4)) == 4
     assert [table.elem(k) for k in range(len(table.codes))] == [
         ext_identity(build(d4))]
+    assert len(table.perms) == finite_ids
 
 
 def test_omega_is_closed_under_product():
@@ -263,7 +265,7 @@ def test_descent_test_and_neighbours_match_the_group_law(name):
                 prod = r * e if left else e * r
                 lp = hecke._length(prod)
                 assert abs(lp - le) == 1
-                assert g.descends(g.finite(e.w.perm), e.x, i, left) == (
+                assert g.descends(e.w.perm, e.x, i, left) == (
                     lp < le), (e, i, left)
                 s = g.step(k, i, left)
                 assert g.elem(s >> 1) == prod

@@ -322,6 +322,90 @@ def test_jobs_start_at_most_one_worker_per_unit(monkeypatch):
     assert [r["status"] for r in rep.records] == ["pass", "pass"]
 
 
+@pytest.fixture
+def spy_pool(monkeypatch):
+    """A pool that runs each task in this process and keeps what it was
+    handed: the worker counts asked for, and the tasks."""
+
+    class SpyPool:
+        started, tasks = [], []
+
+        def __init__(self, max_workers):
+            self.started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            self.tasks.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SpyPool)
+    return SpyPool
+
+
+def test_jobs_hand_out_one_bundle_per_prefix(spy_pool):
+    cases = ("partitions.values", "G2.classes", "A2.classes", "A.orders",
+             "G2.poincare", "G2.roots", "A2.roots")
+    rep = verify_all(RunConfig(cases=cases, jobs=2))
+    # each prefix's units in plan order, the bundles by their last unit
+    assert [[case for _, case, _, _ in task] for task in spy_pool.tasks] == [
+        ["A.orders"], ["A2.roots", "A2.classes"],
+        ["G2.roots", "G2.poincare", "G2.classes"], ["partitions.values"]]
+    assert spy_pool.started == [2]
+    assert [r["case"] for r in rep.records] == [
+        "A2.roots", "G2.roots", "G2.poincare", "A.orders", "A2.classes",
+        "G2.classes", "partitions.values"]
+
+
+def test_bundles_cover_the_plan_by_prefix_and_last_unit():
+    plan = verify._plan(RunConfig())
+    bundles = verify._bundles(plan)
+    assert sorted(k for ks in bundles for k in ks) == list(range(len(plan)))
+    prefixes = [[plan[k][1].split(".", 1)[0] for k in ks] for ks in bundles]
+    assert all(set(p) == {p[0]} for p in prefixes)
+    assert len({p[0] for p in prefixes}) == len(bundles)
+    assert all(ks == sorted(ks) for ks in bundles)
+    lasts = [ks[-1] for ks in bundles]
+    assert lasts == sorted(lasts)
+
+
+def test_jobs_with_one_bundle_start_no_pool(spy_pool):
+    rep = verify_all(RunConfig(cases=("G2.roots", "G2.classes"), jobs=2))
+    assert spy_pool.started == [] and spy_pool.tasks == []
+    assert [r["status"] for r in rep.records] == ["pass", "pass"]
+
+
+def test_bundled_jobs_match_serial_across_stages():
+    # the G2 bundle spans every stage but partitions and nilorbits
+    cases = ("G2.roots", "G2.poincare", "G2.classes", "G2.m4",
+             "G2.characters", "G2.ddprime", "A.orders", "partitions.values",
+             "E6.o7")
+    serial = verify_all(RunConfig(cases=cases))
+    forked = verify_all(RunConfig(cases=cases, jobs=2))
+    assert report.emit(serial.records, "json") == \
+        report.emit(forked.records, "json")
+
+
+def test_raising_unit_inside_a_bundle_fails_alone(spy_pool, monkeypatch):
+    def boom(name):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify.UNITS, "poincare-histogram", boom)
+    cases = ("G2.roots", "G2.poincare", "G2.classes", "A.orders")
+    rep = verify_all(RunConfig(cases=cases, jobs=2))
+    assert len(spy_pool.tasks) == 2
+    assert [(r["case"], r["status"]) for r in rep.records] == [
+        ("G2.roots", "pass"), ("G2.poincare", "fail"), ("A.orders", "pass"),
+        ("G2.classes", "pass")]
+    assert rep.failures[0]["computed"] == "RuntimeError: boom"
+    assert report.lint(rep.records) == []
+
+
 def test_planning_builds_no_root_system(monkeypatch):
     built = []
     real = verify.build
