@@ -974,17 +974,18 @@ def verify_bernstein(rstype, radius=2):
     probe += [tuple(-1 for _ in range(rs.rank)),
               tuple(1 if j == 0 else -1 for j in range(rs.rank))]
     rho = (1,) * rs.rank
+    g = _interned(rs.rstype)
     indep_bad = []
     for x in probe:
-        base = theta(rs, x)
+        base = {g.id(e): c for e, c in theta(rs, x).terms.items()}
         y0, z0 = _theta_parts(rs, x)
         for k in (1, 2):
             y = tuple(a + k * b for a, b in zip(y0, rho))
             z = tuple(a + k * b for a, b in zip(z0, rho))
-            alt = hecke_mul(
-                HeckeElement.basis(rs, translation(y)[0],
-                                   Laurent({exponent(y, z): 1})),
-                basis_inverse(rs, translation(z)[0]))
+            # v^e T_{t_y} T_{t_z}^{-1}, compared with theta_x in code form
+            alt = _mul_codes(
+                g, [(g.id(translation(y)[0]), Laurent({exponent(y, z): 1}))],
+                _basis_inverse(g, g.id(translation(z)[0])))
             if alt != base:
                 indep_bad.append((x, k))
     rec("theta-independence",

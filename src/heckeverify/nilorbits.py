@@ -18,6 +18,12 @@ the same case over two primes guards the arithmetic; the sweep counts
 over one sign convention, the cross-check against the twisted table runs
 only in the tests.  case_bound drives an orbit case for the sweep
 (verify_case) and for `hecke-verify orbits --joint` alike.
+
+Per grouping (_Span, built once and shared by every prime): the chosen
+basis lines, each move's integer chain of structure constants, and the
+Smith form of each support pattern's weight rows.  Per prime (_Closure):
+the powers and discrete logs of a primitive root, the move matrices mod p,
+each pattern's class moduli gcd(diag, p - 1), the states and their labels.
 """
 
 from dataclasses import dataclass, field
@@ -194,67 +200,58 @@ def _primitive_root(p):
 
 
 class _SupportClasses:
-    """Torus-class bookkeeping for one support pattern.  rootsystem.smith
-    gives a unimodular U with U*W diagonal, W the pattern's weight rows, and
-    its inverse: U maps a vector's discrete logs to its class label, and
-    U_inv maps a label back to the logs of its representative.  Class labels
-    are mixed-radix digits; packed against the strides they give each class
-    a dense index within the support."""
+    """Torus-class bookkeeping for one support pattern, at every prime.
+    rootsystem.smith gives a unimodular U with U*W diagonal, W the
+    pattern's weight rows, and its inverse: U maps a vector's discrete logs
+    to its class label, and U_inv maps a label back to the logs of its
+    representative.  At a prime p the label digit k runs mod
+    gcd(diag_k, p - 1), a digit past the rank mod p - 1; see moduli."""
 
-    def __init__(self, weight_rows, pm1):
+    def __init__(self, weight_rows):
         r = len(weight_rows)
         unit, unit_inv, diag = smith(weight_rows)
-        # a label digit past the rank is free: gcd(0, p-1) classes
-        moduli = [gcd(d, pm1) for d in diag + [0] * (r - len(diag))]
-        self.moduli = tuple(moduli)
-        self.count = prod(moduli)
+        self.diag = diag + [0] * (r - len(diag))
         self.unit = np.array(unit, dtype=np.int64).reshape(r, r)
         self.unit_inv = np.array(unit_inv, dtype=np.int64).reshape(r, r)
-        self.mod_arr = np.array(moduli, dtype=np.int64).reshape(r)
-        self.strides = np.array([prod(moduli[k + 1:]) for k in range(r)],
-                                dtype=np.int64).reshape(r)
+
+    def moduli(self, pm1):
+        """Mixed-radix moduli of the class labels at p = pm1 + 1: a label
+        digit past the rank is free, gcd(0, p-1) classes."""
+        return [gcd(d, pm1) for d in self.diag]
 
 
-class _Closure:
-    """Orbits of the torus-canonical states under every unipotent move
-    u_gamma(c), c over the whole field.
+class _Span:
+    """What every prime's closure on one grouping shares: the chosen basis
+    lines, each move's chain of integer coefficients, and the Smith data of
+    each support pattern (built on first use, so a closure refused over the
+    state budget has built only the patterns it reached).
 
-    States are indexed densely: support pattern bitmask, then the
-    mixed-radix class label within the pattern.  All image computation and
-    canonicalization is vectorized across states and scalars.  Each
-    state's label is the least state of its orbit so far; run() sets count."""
+    Refuses a span that is not closed under the centralizer action, and one
+    of dimension d with 2^d over the state budget, before any pattern is
+    built: each support pattern holds at least one class."""
 
-    def __init__(self, nm: NilModule, roots, p,
+    def __init__(self, nm: NilModule, roots,
                  state_budget=DEFAULT_STATE_BUDGET):
         self.roots = tuple(roots)
         self.d = d = len(self.roots)
-        # each support pattern holds at least one class: 2^d states at least
         if 1 << d > state_budget:
             raise NilOrbitError(
                 f"at least {1 << d} torus-canonical states on dimension "
                 f"{d}; over the budget of {state_budget}")
-        self.p = p
-        self.pm1 = p - 1
+        self.state_budget = state_budget
         where = {r: k for k, r in enumerate(nm.basis_roots)}
         chosen = [where[r] for r in self.roots]
         idx = {k: i for i, k in enumerate(chosen)}  # basis index -> position
-
-        g = _primitive_root(p)
-        self.pow_g = np.array([pow(g, k, p) for k in range(self.pm1)],
-                              dtype=np.int64)
-        self.dlog = np.zeros(p, dtype=np.int64)
-        self.dlog[self.pow_g] = np.arange(self.pm1)
-
-        # polynomial matrices of exp(c ad e_gamma) on the chosen span: the
-        # chain beta, beta+gamma, beta+2gamma, ... read off the bracket table
-        inv_fact = [pow(f, p - 2, p) for f in (1, 1, 2, 6)]
-        self.moves = []
+        # exp(c ad e_gamma) on the span is sum_k c^k chain_k / k!: chain_k
+        # carries beta to beta + k gamma with the product of the constants
+        # along the chain beta, beta+gamma, ... read off the bracket table
+        self.chains = []
         for row in nm.bracket:
             mats = [np.zeros((d, d), dtype=np.int64) for _ in range(3)]
             used = False
             for j, cur in enumerate(chosen):
                 coeff = 1
-                for step in range(1, 4):
+                for step in range(3):
                     if row[cur] is None:
                         break
                     cur, n = row[cur]
@@ -263,38 +260,91 @@ class _Closure:
                             "chosen supports are not closed under the "
                             "centralizer action; take whole components")
                     coeff *= n
-                    mats[step - 1][idx[cur], j] = coeff * inv_fact[step] % p
+                    mats[step][idx[cur], j] = coeff
                     used = True
             if used:
-                self.moves.append([m if m.any() else None for m in mats])
+                self.chains.append([m if m.any() else None for m in mats])
+        self.weights = [nm.torus_weights[k] for k in chosen]
+        self._patterns = [None] * (1 << d)
 
-        # enumerate every torus-canonical state, densely indexed
-        self.support_data = {}
+    def pattern(self, bits):
+        """(support classes, chosen positions) of the support pattern."""
+        got = self._patterns[bits]
+        if got is None:
+            sel = [i for i in range(self.d) if bits >> i & 1]
+            got = self._patterns[bits] = (
+                _SupportClasses([self.weights[i] for i in sel]),
+                np.array(sel, dtype=np.int64))
+        return got
+
+
+class _Closure:
+    """Orbits of the torus-canonical states under every unipotent move
+    u_gamma(c), c over the whole field of p elements.
+
+    The span (per grouping) gives the moves' integer chains and each
+    pattern's Smith data; per prime the closure takes the move matrices mod
+    p, the discrete logs, each pattern's moduli and the states.  States
+    are indexed densely: support pattern bitmask, then the mixed-radix class
+    label within the pattern.  All image computation and canonicalization
+    is vectorized across states and scalars.  Each state's label is the
+    least state of its orbit so far; run() sets count."""
+
+    def __init__(self, span: _Span, p):
+        self.span = span
+        self.roots = span.roots
+        self.d = d = span.d
+        self.p = p
+        self.pm1 = pm1 = p - 1
+        g = _primitive_root(p)
+        pow_g = [1]
+        for _ in range(pm1 - 1):
+            pow_g.append(pow_g[-1] * g % p)
+        self.pow_g = np.array(pow_g, dtype=np.int64)
+        self.dlog = np.zeros(p, dtype=np.int64)
+        self.dlog[self.pow_g] = np.arange(pm1)
+
+        # the chains over the factorials 1, 2 and 6, mod p
+        inv_fact = [pow(f, p - 2, p) for f in (1, 2, 6)]
+        self.moves = [[None if m is None else m * f % p
+                       for m, f in zip(chain, inv_fact)]
+                      for chain in span.chains]
+
+        # enumerate every torus-canonical state, densely indexed; a label
+        # digit of modulus 1 is always 0, so canonicalization skips it
+        self.support_data = []
+        classes = []
         offsets = np.zeros(1 << d, dtype=np.int64)
         total = 0
         for bits in range(1 << d):
-            sel = [i for i in range(d) if bits >> i & 1]
-            data = _SupportClasses([nm.torus_weights[chosen[i]] for i in sel],
-                                   self.pm1)
-            self.support_data[bits] = (data, np.array(sel, dtype=np.int64))
+            data, sel = span.pattern(bits)
+            moduli = data.moduli(pm1)
+            classes.append((data, sel, moduli))
+            keep = [j for j, m in enumerate(moduli) if m > 1]
+            # U's kept rows, transposed, on the pattern's places among all d
+            unit_t = np.zeros((d, len(keep)), dtype=np.int64)
+            unit_t[sel] = data.unit[keep].T
+            self.support_data.append((
+                unit_t, np.array([moduli[j] for j in keep], dtype=np.int64),
+                np.array([prod(moduli[j + 1:]) for j in keep],
+                         dtype=np.int64)))
             offsets[bits] = total
-            total += data.count
-            if total > state_budget:
+            total += prod(moduli)
+            if total > span.state_budget:
                 raise NilOrbitError(
                     f"at least {total} torus-canonical states on dimension "
-                    f"{d}; over the budget of {state_budget}")
+                    f"{d}; over the budget of {span.state_budget}")
         self.offsets = offsets
         self.n_states = total
 
         vectors = np.zeros((total, d), dtype=np.int64)
-        for bits in range(1 << d):
-            data, sel = self.support_data[bits]
+        for bits, (data, sel, moduli) in enumerate(classes):
             if not len(sel):
                 continue
-            labels = np.indices(data.moduli).reshape(len(sel), -1).T
-            dl = labels.dot(data.unit_inv.T) % self.pm1
-            view = vectors[offsets[bits]:offsets[bits] + data.count]
-            view[:, sel] = self.pow_g[dl]
+            labels = np.indices(moduli).reshape(len(sel), -1).T
+            dl = labels @ data.unit_inv.T % pm1
+            lo = offsets[bits]
+            vectors[lo:lo + len(dl), sel] = self.pow_g[dl]
         self.vectors = vectors
         check = self._canonical_batch(vectors)
         assert np.array_equal(check, np.arange(total)), \
@@ -303,52 +353,61 @@ class _Closure:
         self.label = np.arange(total, dtype=np.int32)
 
     def _canonical_batch(self, block):
-        """Dense state index of each row of a block of vectors."""
-        out = np.zeros(len(block), dtype=np.int64)
-        weightsbits = (block != 0).astype(np.int64).dot(
-            1 << np.arange(self.d, dtype=np.int64))
-        # rows grouped by support pattern: one sort, split where it changes
-        order = np.argsort(weightsbits, kind="stable")
-        starts = np.flatnonzero(np.diff(weightsbits[order])) + 1
-        for rows in np.split(order, starts):
-            bits = int(weightsbits[rows[0]])
-            data, sel = self.support_data[bits]
-            if not len(sel):
-                out[rows] = self.offsets[bits]
+        """Dense state index of each row of a block of vectors.
+
+        The rows are sorted by support pattern and taken as discrete logs
+        in one gather; each pattern's run is then one slice.  A coordinate
+        off the support is 0, with discrete log 0, and meets a zero row of
+        the pattern's embedded U, so no column is selected."""
+        weightsbits = (block != 0) @ (1 << np.arange(self.d, dtype=np.int64))
+        order = np.argsort(weightsbits)
+        bits = weightsbits[order]
+        dl = self.dlog[block[order]]
+        index = np.empty(len(block), dtype=np.int64)
+        starts = np.flatnonzero(np.diff(bits, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(order)]):
+            key = int(bits[lo])
+            unit_t, mod_arr, strides = self.support_data[key]
+            if not len(mod_arr):    # one class on this support
+                index[lo:hi] = self.offsets[key]
                 continue
-            dl = self.dlog[block[np.ix_(rows, sel)]]
-            lab = dl.dot(data.unit.T) % data.mod_arr   # moduli divide p-1
-            out[rows] = self.offsets[bits] + lab.dot(data.strides)
+            lab = dl[lo:hi] @ unit_t
+            lab %= mod_arr     # the moduli divide p-1
+            index[lo:hi] = self.offsets[key] + lab @ strides
+        out = np.empty_like(index)
+        out[order] = index
         return out
 
     def run(self):
-        scalars = np.arange(1, self.p, dtype=np.int64)
-        sq = scalars * scalars % self.p
-        cube = sq * scalars % self.p
-        powers = (scalars, sq, cube)
+        p, pm1, d = self.p, self.pm1, self.d
+        scalars = np.arange(1, p, dtype=np.int64)
+        sq = scalars * scalars % p
+        powers = (scalars, sq, sq * scalars % p)
         n = self.n_states
-        chunk = max(1, min(n, 1 << 22 >> max(1, self.pm1 * self.d).bit_length()))
+        chunk = max(1, min(n, 1 << 22 >> max(1, pm1 * d).bit_length()))
         label = self.label
         for mats in self.moves:
             srcs, dsts = [], []
             for lo in range(0, n, chunk):
                 vecs = self.vectors[lo:lo + chunk]
-                block = np.broadcast_to(
-                    vecs[:, None, :], (len(vecs), self.pm1, self.d)).copy()
+                imgs = [(vecs @ mat.T % p, power)
+                        for mat, power in zip(mats, powers) if mat is not None]
                 moved = np.zeros(len(vecs), dtype=bool)
-                for mat, power in zip(mats, powers):
-                    if mat is None:
-                        continue
-                    img = vecs.dot(mat.T) % self.p
-                    hot = img.any(axis=1)
-                    moved |= hot
-                    block[hot] += power[None, :, None] * img[hot][:, None, :]
-                if not moved.any():
+                for img, _ in imgs:
+                    moved |= img.any(axis=1)
+                rows = np.flatnonzero(moved)
+                if not len(rows):
                     continue
-                block = block[moved] % self.p
+                # images of the moved rows only, one per scalar
+                (img, power), *rest = imgs
+                block = power[None, :, None] * img[rows][:, None, :]
+                for img, power in rest:
+                    block += power[None, :, None] * img[rows][:, None, :]
+                block += vecs[rows][:, None, :]
+                block %= p
                 # edges between the orbits so far; those inside one are dropped
-                src = label[np.nonzero(moved)[0] + lo].repeat(self.pm1)
-                dst = label[self._canonical_batch(block.reshape(-1, self.d))]
+                src = label[rows + lo].repeat(pm1)
+                dst = label[self._canonical_batch(block.reshape(-1, d))]
                 cross = src != dst
                 srcs.append(src[cross])
                 dsts.append(dst[cross])
@@ -374,13 +433,19 @@ def _support_roots(supports):
 
 
 def orbit_count_ff(nm: NilModule, supports, p: int,
-                   state_budget=DEFAULT_STATE_BUDGET) -> _Closure:
+                   state_budget=DEFAULT_STATE_BUDGET, span=None) -> _Closure:
     """Exact orbit count of the centralizer action on the joint span of the
     chosen submodules, over the field of p elements: the closure after its
     run, with the count in .count.  Raises NilOrbitError when the closure
     would hold more states than the state budget; a span of dimension d has
-    at least 2^d of them, so a large span is refused before any is built."""
-    closure = _Closure(nm, _support_roots(supports), p, state_budget)
+    at least 2^d of them, so a large span is refused before any is built.
+    span is the same grouping's prime-independent set-up, as an earlier
+    prime's closure holds it (closure.span); without it one is built."""
+    roots = _support_roots(supports)
+    if span is None:
+        span = _Span(nm, roots, state_budget)
+    assert span.roots == roots and span.state_budget == state_budget
+    closure = _Closure(span, p)
     closure.run()
     return closure
 
@@ -508,14 +573,16 @@ def case_bound(rstype, order, primes=None,
         counts = []
         refusal = None
         distinct = True if reps else None   # None skips the check below
+        span = None         # built by the first prime, shared by the rest
         for p in primes:
             try:
-                closure = orbit_count_ff(nm, subs, p, state_budget)
+                closure = orbit_count_ff(nm, subs, p, state_budget, span)
             except NilOrbitError as err:
                 refusal = str(err)
                 break
             counts.append((p, closure.count))
             distinct = distinct and representatives_distinct(closure, reps)
+            span = closure.span
             # the next prime's closure is built only after this one is freed
             del closure
         stable = len({c for _, c in counts}) <= 1 and refusal is None

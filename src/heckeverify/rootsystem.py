@@ -177,21 +177,26 @@ def _twice_epsilon_view(rstype: RootSystemType):
     return None
 
 
-def _invert_fraction_matrix(mat):
-    """Gauss-Jordan inverse of a square matrix of Fractions."""
+def _adjugate(mat):
+    """(adj, det) of a square integer matrix whose leading principal minors
+    are nonzero, by fraction-free (Bareiss) Gauss-Jordan elimination on
+    [mat | I] without row exchanges.  Every entry after step k is a minor
+    of the augmented matrix, so each division is exact; the left block ends
+    as det * I and the right block as the adjugate."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(n):
+        piv = aug[k][k]
+        assert piv, "a leading principal minor vanishes"
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [_exact_div(piv * x - f * y, prev)
+                          for x, y in zip(aug[i], aug[k])]
+        prev = piv
+    return [row[n:] for row in aug], prev
 
 
 def smith(mat):
@@ -420,9 +425,25 @@ class RootSystem:
                      for i, a in enumerate(root))
 
     @cached_property
+    def cartan_adjugate(self):
+        """The integer adjugate of the Cartan matrix: cartan * adj is
+        center_order() times the identity, checked exactly.  Every leading
+        principal minor of a Cartan matrix of finite type is the
+        determinant of a finite-type Cartan matrix, hence positive."""
+        adj, det = _adjugate(self.cartan)
+        n = self.rank
+        assert det == self.center_order(), (det, self.rstype)
+        assert all(sum(self.cartan[i][k] * adj[k][j] for k in range(n))
+                   == det * (i == j) for i in range(n) for j in range(n))
+        return tuple(map(tuple, adj))
+
+    @cached_property
     def fundamental_weights(self):
-        """Rows of the inverse Cartan matrix (Fractions), built on first use."""
-        return tuple(tuple(row) for row in _invert_fraction_matrix(self.cartan))
+        """Rows of the inverse Cartan matrix (Fractions), built on first use
+        from the integer adjugate over the determinant."""
+        det = self.center_order()
+        return tuple(tuple(Fraction(x, det) for x in row)
+                     for row in self.cartan_adjugate)
 
     @cached_property
     def coroots(self):
@@ -579,62 +600,84 @@ class StructureConstants:
                 return k
 
     def _positive_table(self):
+        """pos, built over positive-root ids: the decompositions
+        gamma = a + b come from one table of code differences, and each
+        non-simple gamma's are walked in height order."""
         rs = self.rs
-        twice = rs._twice_norm2
-        pos = {}
+        roots = rs.positive_roots
+        twice = [rs._twice_norm2[r] for r in roots]
+        minus, splits = _positive_decompositions(rs)
+        simple_ids = [rs.index[s] for s in rs.simples]    # alpha_1 first
+        n = {}
 
-        def vdiff(a, b):
-            return tuple(x - y for x, y in zip(a, b))
+        def mixed_neg_simple(xi, a, mu):
+            # N(-xi, a) for xi simple, a positive, mu = a - xi positive
+            return _exact_div(n[(xi, mu)] * twice[mu], twice[a])
 
-        by_height = {}
-        for r in rs.positive_roots:
-            by_height.setdefault(rs.height(r), []).append(r)
+        assert len(splits) == len(roots) - rs.rank, \
+            "a non-simple positive root with no decomposition"
+        for gamma, pairs in splits:
+            # the extraspecial pair: xi the least simple root with gamma - xi
+            # a positive root
+            xi = next((s for s in simple_ids if minus[gamma][s] >= 0), None)
+            if xi is None:
+                raise AssertionError(
+                    "positive non-simple root with no simple summand")
+            eta = minus[gamma][xi]
+            p = self.string_down(roots[xi], roots[eta])
+            n[(xi, eta)] = p + 1
+            n[(eta, xi)] = -(p + 1)
+            n_gamma_negxi = _exact_div(-(p + 1) * twice[eta], twice[gamma])
+            for a, b in pairs:
+                if (a, b) in n:
+                    continue
+                acc = 0
+                amx = minus[a][xi]
+                if amx >= 0:
+                    acc += mixed_neg_simple(xi, a, amx) * n[(amx, b)]
+                elif a == xi:
+                    raise AssertionError("extraspecial pair revisited")
+                bmx = minus[b][xi]
+                if bmx >= 0:
+                    acc -= mixed_neg_simple(xi, b, bmx) * n[(bmx, a)]
+                nval = _exact_div(-acc, n_gamma_negxi)
+                expect = self.string_down(roots[a], roots[b]) + 1
+                assert abs(nval) == expect, (roots[gamma], roots[a],
+                                             roots[b], nval, expect)
+                n[(a, b)] = nval
+                n[(b, a)] = -nval
+        return {(roots[a], roots[b]): v for (a, b), v in n.items()}
 
-        def extraspecial(gamma):
-            for s in rs.simples:
-                rem = vdiff(gamma, s)
-                if rem in rs.index and sum(rem) > 0:
-                    return s, rem
-            raise AssertionError("positive non-simple root with no simple summand")
 
-        def mixed_neg_simple(xi, a):
-            # N(-xi, a) and N(a, -xi) for xi simple, a positive, a-xi a positive root
-            mu = vdiff(a, xi)
-            return _exact_div(pos[(xi, mu)] * twice[mu], twice[a])
+def _positive_decompositions(rs: RootSystem):
+    """Every decomposition gamma = a + b into positive roots, over ids in
+    rs.positive_roots (ordered by height).
 
-        for h in sorted(by_height):
-            if h == 1:
-                continue
-            for gamma in by_height[h]:
-                xi, eta = extraspecial(gamma)
-                p = self.string_down(xi, eta)
-                pos[(xi, eta)] = p + 1
-                pos[(eta, xi)] = -(p + 1)
-                # remaining decompositions of gamma into two positive roots
-                n_gamma_negxi = _exact_div(-(p + 1) * twice[eta], twice[gamma])
-                for a in rs.positive_roots:
-                    if rs.height(a) >= h:
-                        break
-                    b = vdiff(gamma, a)
-                    if b not in rs.index or sum(b) <= 0:
-                        continue
-                    if (a, b) in pos:
-                        continue
-                    acc = 0
-                    amx = vdiff(a, xi)
-                    if amx in rs.index and sum(amx) > 0:
-                        acc += mixed_neg_simple(xi, a) * pos[(amx, b)]
-                    elif a == xi:
-                        raise AssertionError("extraspecial pair revisited")
-                    bmx = vdiff(b, xi)
-                    if bmx in rs.index and sum(bmx) > 0:
-                        acc += -mixed_neg_simple(xi, b) * pos[(bmx, a)]
-                    nval = _exact_div(-acc, n_gamma_negxi)
-                    expect = self.string_down(a, b) + 1
-                    assert abs(nval) == expect, (gamma, a, b, nval, expect)
-                    pos[(a, b)] = nval
-                    pos[(b, a)] = -nval
-        return pos
+    Returns (minus, splits): minus[g][a] is the id of g - a, -1 where it
+    is not a positive root; splits lists (gamma, [(a, b), ...]) for each
+    non-simple gamma in id order, with a ascending.  A root's code is its coordinates read as digits in
+    base 2t+1, t its largest coordinate: a difference of two positive roots
+    less a third has every digit in [-2t, t], so codes subtract exactly
+    when roots do, and code(g) - code(a) is a root's code only when g - a
+    is that root."""
+    roots = np.array(rs.positive_roots, dtype=np.int64)
+    count, rank = roots.shape
+    base = 2 * max(rs.highest_root) + 1
+    if base ** rank >= 2 ** 62:
+        raise RootSystemError(
+            f"{rs.rstype}: root codes in base {base} overflow int64")
+    code = roots @ base ** np.arange(rank, dtype=np.int64)
+    order = np.argsort(code)
+    diff = code[:, None] - code[None, :]
+    at = order[np.searchsorted(code[order], diff).clip(max=count - 1)]
+    minus = np.where(code[at] == diff, at, -1)
+    g, a = np.nonzero(minus >= 0)        # ascending g, then ascending a
+    b = minus[g, a]
+    cuts = np.flatnonzero(np.diff(g)) + 1
+    splits = [(int(gs[0]), list(zip(as_.tolist(), bs.tolist())))
+              for gs, as_, bs in zip(np.split(g, cuts), np.split(a, cuts),
+                                     np.split(b, cuts)) if len(gs)]
+    return minus.tolist(), splits
 
 
 @lru_cache(maxsize=None)

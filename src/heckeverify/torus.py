@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -83,12 +84,14 @@ class TorusPoint:
     def _simple_pairings(self, vec):
         """<alpha_i, vec> for each simple root i, as integer numerators
         over one common denominator."""
-        # vec is in coroot coordinates: each pairing is a row-of-Cartan dot
-        cartan, n = self.rs.cartan, self.rs.rank
-        vals = [sum(Fraction(cartan[i][k]) * vec[k] for k in range(n))
-                for i in range(n)]
-        den = lcm(*(v.denominator for v in vals))
-        return tuple(v.numerator * (den // v.denominator) for v in vals), den
+        # vec is in coroot coordinates: each pairing is a row-of-Cartan dot,
+        # taken on vec's numerators over their common denominator and then
+        # reduced to the least common denominator of the pairings
+        den = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (den // v.denominator) for v in vec]
+        vals = [sum(map(mul, row, ints)) for row in self.rs.cartan]
+        g = gcd(den, *vals)
+        return tuple(v // g for v in vals), den // g
 
     @cached_property
     def _simple_q(self):
@@ -132,11 +135,10 @@ class TorusPoint:
 
 def _solve_exponents(rs: RootSystem, wanted):
     """Coweight v with <alpha_i, v> = wanted[i] for every simple root."""
-    n = rs.rank
-    # v_k given by C^{-1} applied to the wanted column
-    inv = rs.fundamental_weights
-    return tuple(sum(inv[k][j] * Fraction(wanted[j]) for j in range(n))
-                 for k in range(n))
+    # v = C^{-1} wanted = adj(C) wanted / det C
+    det = rs.center_order()
+    return tuple(Fraction(sum(map(mul, row, wanted)), det)
+                 for row in rs.cartan_adjugate)
 
 
 def standard_point(rs: RootSystem, order, assignment=None) -> TorusPoint:
@@ -192,16 +194,22 @@ def central_twist(point: TorusPoint, z) -> TorusPoint:
 def roots_with_exponent(rs: RootSystem, s: TorusPoint, k):
     """All roots alpha with alpha(s) = q^k, in the deterministic order of
     rs.all_roots.  At generic q, roots whose value is not a power of q
-    never match."""
-    if s.order is not None:
-        k = Fraction(k) % s.order
-    out = []
-    for root in rs.all_roots:
-        if not s.is_power_of_q(root):
-            continue
-        if s.pairing_q(root) == k:
-            out.append(root)
-    return out
+    never match.
+
+    Decided on integers: with <alpha, vq> = val/den (s._simple_q) and
+    k = kn/kd, alpha(s) = q^k iff val*kd - kn*den is zero, or at finite
+    order m a multiple of m*den*kd."""
+    nums, den = s._simple_q
+    k = Fraction(k)
+    kd, want = k.denominator, k.numerator * den
+    if s.order is None:
+        tnums, tden = s._simple_tor
+        return [r for r in rs.all_roots
+                if sum(map(mul, r, nums)) * kd == want
+                and sum(map(mul, r, tnums)) % tden == 0]
+    mod = s.order * den * kd
+    return [r for r in rs.all_roots
+            if (sum(map(mul, r, nums)) * kd - want) % mod == 0]
 
 
 def centralizer_roots(rs: RootSystem, s: TorusPoint):

@@ -241,7 +241,7 @@ def unit_valid_orders_exceptional(name):
 
 def unit_valid_orders_type_a():
     expected = {f"A{n}": [] for n in range(1, 10)}
-    computed = {f"A{n}": sorted(valid_orders(build(parse_type(f"A{n}"))))
+    computed = {f"A{n}": sorted(valid_orders(parse_type(f"A{n}")))
                 for n in range(1, 10)}
     return [report.make_record(
         "weyl", "A.orders", "valid", "valid order table type A",
@@ -252,7 +252,7 @@ def unit_valid_orders_type_a():
 def unit_valid_orders_type_d():
     expected = {f"D{n}": [m for m in range(n + 1, 2 * n - 2) if m % 2]
                 for n in range(4, 13)}
-    computed = {f"D{n}": sorted(valid_orders(build(parse_type(f"D{n}"))))
+    computed = {f"D{n}": sorted(valid_orders(parse_type(f"D{n}")))
                 for n in range(4, 13)}
     return [report.make_record(
         "weyl", "D.orders", "valid", "valid order table type D",

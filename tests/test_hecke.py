@@ -681,6 +681,28 @@ def test_bernstein_ball_needs_a_positive_integer_radius(radius):
         verify_bernstein("A2", radius)
 
 
+def test_theta_independence_fails_on_a_wrong_theta(monkeypatch):
+    # theta_x compared with its rebuilds in code form: a wrong theta at one
+    # probe weight fails both rebuilds of that weight and nothing else
+    real = hecke.theta
+    wrong = (-1, -1)
+
+    def corrupted(rs, x):
+        out = real(rs, x)
+        return out + out if tuple(x) == wrong else out
+
+    monkeypatch.setattr(hecke, "theta", corrupted)
+    hecke._theta_translated.cache_clear()
+    try:
+        indep = verify_bernstein("A2")[1]
+    finally:
+        hecke._theta_translated.cache_clear()
+    assert indep["status"] == "fail"
+    assert indep["computed"]["failures"] == 2
+    assert [list(x) for x, _ in indep["computed"]["failing_pairs"]] == \
+        [list(wrong)] * 2
+
+
 def ball_product_keys(rs, radius):
     """The (x, shift) of theta_x T_{t_shift} behind each ordered pair (x, y)
     the theta-products check compares: shift = y_y + zc - z_y, where zc is

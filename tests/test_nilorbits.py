@@ -326,9 +326,9 @@ def closure_of(rstype, order, p, modules):
     rs, nm = nil(rstype, order)
     table = case_table(rstype, order)
     comp = {frozenset(sub.support): sub for sub in decompose(nm)}
-    return no._Closure(
+    return no._Closure(no._Span(
         nm, no._support_roots([comp[table.module_support(name)]
-                               for name in modules]), p)
+                               for name in modules])), p)
 
 
 @pytest.mark.parametrize("rstype,order,p,modules,states", [

@@ -9,8 +9,8 @@ import pytest
 from heckeverify import rootsystem
 from heckeverify.rootsystem import (
     RootSystemError, RootSystemType, StructureConstants, build,
-    _dynkin_data, component_labels, components, degrees_of, parse_type,
-    structure_constants,
+    _dynkin_data, _positive_decompositions, component_labels, components,
+    degrees_of, parse_type, structure_constants,
 )
 
 ALL_SMALL = ["A1", "A2", "A3", "B2", "B3", "C3", "C4", "D4", "D5", "F4", "G2"]
@@ -489,6 +489,46 @@ def test_tables_match_their_golden_digest(t):
     table = StructureConstants(build(parse_type(t))).table
     digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
     assert (len(table), digest) == GOLDEN_TABLES[t]
+
+
+# sha256 of repr(sorted(pos.items())), the stored positive-pair table, as
+# the tuple scan over every lower-height root built it
+GOLDEN_POSITIVE_TABLES = {
+    "B6": (220, "a4f83337c3289817f6fdd5157ec627e4f777c5105cbad9c2dfb32bf6212de1cc"),
+    "C6": (220, "4dff7181e843ea4482ce4e15ae88578551ee7337e842ef4fce773581e9da596d"),
+    "D9": (672, "1484154a284fbc01b09c23f6065d158db01bc9c9a69bf18bc1bcdd6c7daa11f6"),
+    "D12": (1760, "57f932e8292a2a0b7e221cca7fb77e08b6d15f8aeb00709304f431a9da5a4e79"),
+    "E6": (240, "f1bc84ad5a23f3fecde2553f9c02d57ef8cf7bdd99ab080b37992c7e374fe4f7"),
+    "E7": (672, "6bf245d5af3a6ba6947e4e4324932d9fef939b8632963d0a927fd1bc21a36a6f"),
+    "E8": (2240, "00ec7dcd8de0ede0e31db033f652cead919bd33f7874bb15921b38e58960937b"),
+    "F4": (136, "f63102e6c29c704293eb22dced3063af3fcb40d8151a9ff240cfed15ea6ffd59"),
+    "G2": (10, "2676b1fa00fc3979251d6c37d11ba2220884d711fc323c465eaf8957f4f680d0"),
+}
+
+
+@pytest.mark.parametrize("t", sorted(GOLDEN_POSITIVE_TABLES))
+def test_positive_tables_match_their_golden_digest(t):
+    pos = StructureConstants(build(parse_type(t))).pos
+    digest = hashlib.sha256(repr(sorted(pos.items())).encode()).hexdigest()
+    assert (len(pos), digest) == GOLDEN_POSITIVE_TABLES[t]
+
+
+def test_positive_decompositions_are_every_split():
+    # against a scan of every pair of positive roots
+    for t in ("G2", "B3", "F4", "D5"):
+        rs = build(parse_type(t))
+        roots = rs.positive_roots
+        minus, splits = _positive_decompositions(rs)
+        want = {}
+        for a, x in enumerate(roots):
+            for b, y in enumerate(roots):
+                g = rs.index.get(tuple(u + v for u, v in zip(x, y)), -1)
+                if g >= 0:
+                    want.setdefault(g, []).append((a, b))
+                    assert minus[g][a] == b
+        assert splits == sorted((g, sorted(p)) for g, p in want.items())
+        assert sum(row.count(-1) for row in minus) == \
+            len(roots) ** 2 - sum(len(p) for p in want.values())
 
 
 def test_simply_laced_constants_are_units():

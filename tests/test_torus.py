@@ -12,9 +12,9 @@ import pytest
 from heckeverify.rootsystem import parse_type, build
 from heckeverify.weyl import WeylBudgetError, valid_orders
 from heckeverify.torus import (
-    INFINITE, TorusError, standard_point, mixed_point, center_representatives,
-    central_twist, roots_with_exponent, centralizer_roots,
-    centralizer_signature, conjugate_in_G,
+    INFINITE, TorusError, TorusPoint, standard_point, mixed_point,
+    center_representatives, central_twist, roots_with_exponent,
+    centralizer_roots, centralizer_signature, conjugate_in_G,
     verify_mixed_nonconjugacy, count_one_dim_characters,
 )
 
@@ -101,6 +101,58 @@ def test_regular_beyond_max_exponent():
         assert set(roots_with_exponent(rs, s2, 1)) == set(rs.simples)
         lowest = tuple(-c for c in rs.highest_root)
         assert set(roots_with_exponent(rs, s, 1)) == set(rs.simples) | {lowest}
+
+
+def _exponent_oracle(rs, s):
+    """For each k, roots_with_exponent(rs, s, k) from the coweights
+    themselves, in Fractions: <root, v> = sum_i root_i sum_j C_ij v_j."""
+    def pairings(vec):
+        simple = [sum(Fraction(rs.cartan[i][j]) * vec[j]
+                      for j in range(rs.rank)) for i in range(rs.rank)]
+        return [sum(c * x for c, x in zip(root, simple))
+                for root in rs.all_roots]
+
+    vals = pairings(s.vq)
+    powers = ([t % 1 == 0 for t in pairings(s.tor)] if s.order is None
+              else [True] * len(vals))
+
+    def matching(k):
+        k = Fraction(k)
+        return [root for root, val, ok in zip(rs.all_roots, vals, powers)
+                if ok and (val == k if s.order is None
+                           else (val - k) % s.order == 0)]
+    return matching
+
+
+def _oracle_points(rs):
+    yield standard_point(rs, INFINITE)
+    # a torsion part that is not central: some roots take no power of q
+    yield TorusPoint.make(rs, INFINITE, standard_point(rs, INFINITE).vq,
+                          [Fraction(1, 2)] + [0] * (rs.rank - 1))
+    yield standard_point(rs, INFINITE, [Fraction(1, 2)] * rs.rank)
+    for z in center_representatives(rs)[1:]:
+        yield central_twist(standard_point(rs, INFINITE), z)
+    for m in (2, 3, 5, 7, 13, rs.max_exponent() + 1):
+        yield standard_point(rs, m)
+        yield standard_point(rs, m, [Fraction(1, 2)] + [1] * (rs.rank - 1))
+        for z in center_representatives(rs)[1:]:
+            yield central_twist(standard_point(rs, m), z)
+    if len({rs.length_class(a) for a in rs.simples}) == 2:
+        yield mixed_point(rs, 7)
+        yield mixed_point(rs, INFINITE)
+
+
+@pytest.mark.parametrize("name", ["E7", "D9", "B5", "F4", "G2"])
+def test_roots_with_exponent_match_a_fraction_oracle(name):
+    rs = rs_of(name)
+    hits = 0
+    for s in _oracle_points(rs):
+        oracle = _exponent_oracle(rs, s)
+        for k in (0, 1, -1, 2, Fraction(1, 2)):
+            got = roots_with_exponent(rs, s, k)
+            assert got == oracle(k), (s, k)
+            hits += len(got)
+    assert hits
 
 
 def test_exponent_classes_partition_all_roots():

@@ -277,6 +277,17 @@ def test_every_regular_unit_passes():
     assert all(r["status"] == "pass" for r in rep.records), rep.failures
 
 
+def test_order_tables_build_no_root_system(monkeypatch):
+    # valid_orders reads only the degrees, which a parsed type carries
+    def refuse(*args):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(verify, "build", refuse)
+    for unit in (verify.unit_valid_orders_type_a,
+                 verify.unit_valid_orders_type_d):
+        assert [r["status"] for r in unit()] == ["pass"]
+
+
 def test_regular_count_builds_no_structure_constants():
     # every *.regular eigenspace has no generator, so no table is read
     before = structure_constants.cache_info()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from heckeverify import weyl
-from heckeverify.rootsystem import parse_type, build, _invert_fraction_matrix
+from heckeverify.rootsystem import parse_type, build
 from heckeverify.weyl import (
     WeylBudgetError, WeylElement, enumerate_group, poincare,
     poincare_vanishes, vanishes_by_degrees, valid_orders, irr_count,
@@ -356,6 +356,22 @@ def test_class_sizes_are_golden(name):
 # exact elements
 
 
+def _inverse_fractions(mat):
+    """Gauss-Jordan inverse of a square matrix of Fractions."""
+    n = len(mat)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 class CoordElement:
     """The coordinate form WeylElement replaced, kept as the oracle: the
     images of the simple roots as coordinate tuples, composed by linear
@@ -398,7 +414,7 @@ class CoordElement:
 
     def inverse(self):
         n = self.rs.rank
-        inv = _invert_fraction_matrix(
+        inv = _inverse_fractions(
             [[Fraction(self.images[j][i]) for j in range(n)] for i in range(n)])
         return CoordElement(self.rs, [[int(inv[i][j]) for i in range(n)]
                                       for j in range(n)])
