@@ -21,12 +21,15 @@ only in the tests.  case_bound drives an orbit case for the sweep
 
 Per grouping (_Span, built once and shared by every prime): the chosen
 basis lines, each move's integer chain of structure constants, and the
-Smith form of each support pattern's weight rows.  Per prime (_Closure):
-the powers and discrete logs of a primitive root, the move matrices mod p,
-each pattern's class moduli gcd(diag, p - 1), the states and their labels.
+Smith form of each support pattern's weight rows.  Per prime, shared by
+every closure in the process (_field_tables): the powers and discrete logs
+of a primitive root.  Per closure at one prime (_Closure): the move
+matrices mod p, each pattern's class moduli gcd(diag, p - 1), the states
+and their labels.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, prod
 
@@ -199,6 +202,22 @@ def _primitive_root(p):
                 if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
+@lru_cache(maxsize=None)
+def _field_tables(p):
+    """(pow_g, dlog) for the least primitive root g mod the prime p:
+    pow_g[k] = g^k for k < p - 1, and dlog[pow_g[k]] = k (dlog[0] = 0).
+    Both are read-only, since every closure at p shares them."""
+    g = _primitive_root(p)
+    pow_g = [1]
+    for _ in range(p - 2):
+        pow_g.append(pow_g[-1] * g % p)
+    pow_g = np.array(pow_g, dtype=np.int64)
+    dlog = np.zeros(p, dtype=np.int64)
+    dlog[pow_g] = np.arange(p - 1)
+    pow_g.flags.writeable = dlog.flags.writeable = False
+    return pow_g, dlog
+
+
 class _SupportClasses:
     """Torus-class bookkeeping for one support pattern, at every prime.
     rootsystem.smith gives a unimodular U with U*W diagonal, W the
@@ -296,13 +315,7 @@ class _Closure:
         self.d = d = span.d
         self.p = p
         self.pm1 = pm1 = p - 1
-        g = _primitive_root(p)
-        pow_g = [1]
-        for _ in range(pm1 - 1):
-            pow_g.append(pow_g[-1] * g % p)
-        self.pow_g = np.array(pow_g, dtype=np.int64)
-        self.dlog = np.zeros(p, dtype=np.int64)
-        self.dlog[self.pow_g] = np.arange(pm1)
+        self.pow_g, self.dlog = _field_tables(p)
 
         # the chains over the factorials 1, 2 and 6, mod p
         inv_fact = [pow(f, p - 2, p) for f in (1, 2, 6)]

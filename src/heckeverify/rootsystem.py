@@ -416,7 +416,8 @@ class RootSystem:
         """'long' or 'short'; every root is 'long' in a simply-laced system."""
         if self.rstype.family in ("A", "D", "E"):
             return "long"
-        return "long" if self.norm2(root) == max(self._simple_norm2) else "short"
+        return ("long" if self.twice_norm2(root) == 2 * max(self._simple_norm2)
+                else "short")
 
     def coroot_coords(self, root):
         """root^vee over the simple coroots: a_i (alpha_i, alpha_i) / (root, root)."""
@@ -462,6 +463,11 @@ class RootSystem:
 
     def center_order(self) -> int:
         """Order of the center of the simply connected group: det of Cartan."""
+        return self._center_order
+
+    @cached_property
+    def _center_order(self) -> int:
+        # one Smith elimination per root system
         return prod(smith(self.cartan)[2])
 
     def height_histogram(self):

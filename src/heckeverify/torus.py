@@ -245,8 +245,9 @@ class SubsystemSignature:
 
 def _component_family(rank, count, norms):
     """Classify one irreducible component from its rank, root count, and
-    the multiset of squared lengths (ambient normalization)."""
-    ratio = max(norms) / min(norms)
+    the multiset of squared lengths (ambient normalization, any integer
+    multiple of it)."""
+    ratio = Fraction(max(norms), min(norms))
     if ratio == 1:
         if count == rank * (rank + 1):
             return ("A", rank)
@@ -282,7 +283,7 @@ def centralizer_signature(rs: RootSystem, s: TorusPoint) -> SubsystemSignature:
 
     edges = [(i, j) for i in range(len(roots))
              for j in range(i + 1, len(roots)) if linked(roots[i], roots[j])]
-    maxnorm = max(rs.norm2(r) for r in rs.all_roots)
+    maxnorm = rs.twice_norm2(rs.highest_root)      # the highest root is long
     comps = []
     for group in components(len(roots), edges):
         members = [roots[i] for i in group]
@@ -296,7 +297,7 @@ def centralizer_signature(rs: RootSystem, s: TorusPoint) -> SubsystemSignature:
             if not decomposable:
                 simples.append(a)
         rank = len(simples)
-        norms = [rs.norm2(r) for r in members]
+        norms = [rs.twice_norm2(r) for r in members]
         fam, rk = _component_family(rank, len(members), norms)
         nl = sum(1 for x in norms if x == maxnorm)
         ns = len(norms) - nl

@@ -362,10 +362,15 @@ def unit_regular_count(name, prime_bound, state_budget):
     contents = [gcd(*weight_of[sub.support[0]]) for sub in parts]
     rational = {}
     predicted = {}
+    spans = [None] * len(parts)     # each module's, built by the first prime
     for q in primes:
-        rational[str(q)] = prod(
-            nilorbits.orbit_count_ff(nm, [sub], q, state_budget).count
-            for sub in parts)
+        counts = []
+        for k, sub in enumerate(parts):
+            closure = nilorbits.orbit_count_ff(nm, [sub], q, state_budget,
+                                               spans[k])
+            spans[k] = closure.span
+            counts.append(closure.count)
+        rational[str(q)] = prod(counts)
         predicted[str(q)] = prod(1 + gcd(c, q - 1) for c in contents)
     independent = (weight_rank == rs.rank and len(parts) == rs.rank
                    and all(sub.dim == 1 for sub in parts)

@@ -22,6 +22,13 @@ each row records its parent p and that descent k: z = p s_k.  Rows are
 grouped by length and, within a length, follow the tree: by descent k,
 then by parent row.  No row is ever looked up.
 
+Each length is one pass: the ascents (j, x) of its rows, x(alpha_j) > 0,
+are the nonzero entries of the transposed ascent mask, which lists them
+in tree order, by j and then by row; their rows are copied once, each
+generator's contiguous run is multiplied by its s_j (the one numpy step
+taken per generator), and a product x s_j is kept iff the first simple
+root it sends negative is alpha_j, one test for the whole length.
+
 The class count multiplies rows by the tree, with no search for a row.
 The right table R[j, z] = z s_j is filled one length l at a time:
 
@@ -312,8 +319,11 @@ _ENUM_CACHE: dict = {}
 
 
 def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumeration:
-    """Enumerate the whole Weyl group down the descent tree, one length at
-    a time (see the module docstring).
+    """Enumerate the whole Weyl group down the descent tree, one pass per
+    length (see the module docstring): every ascent x s_j of the length's
+    rows is formed, generator by generator on one copy of the rows, and the
+    ones whose least right descent is j are the next length, with parent x
+    and descent j.
 
     Refuses groups larger than the budget before doing any work, since
     the order is known in advance from the degrees.
@@ -329,28 +339,27 @@ def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumer
 
     npos = len(rs.positive_roots)     # root indices below npos are positive
     frontier = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
-    layers, parents = [frontier], [np.array([-1])]
+    layers, parents, descents = [frontier], [np.array([-1])], [np.array([-1])]
     start = 0                         # the row of frontier[0]
     while frontier.shape[0]:
-        children, parent = [], []
-        for j in range(rs.rank):
-            rows = np.flatnonzero(frontier[:, j] < npos)
-            y = _right_mul(rs, frontier[rows], j)
-            least = (y[:, :j] < npos).all(axis=1)
-            children.append(y[least])
-            parent.append(rows[least])
-        # each length in tree order: by descent, then by parent row
-        parents.append(start + np.concatenate(parent))
+        # every ascent (j, x) of the length, by generator and then by row
+        j, x = np.nonzero((frontier < npos).T)
+        y = frontier[x]
+        bounds = np.searchsorted(j, np.arange(rs.rank + 1)).tolist()
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            y[lo:hi] = _right_mul(rs, y[lo:hi], k)
+        # x s_j is a child of x iff j is its least right descent
+        least = np.argmax(y >= npos, axis=1) == j
+        parents.append(start + x[least])
+        descents.append(j[least])
         start += frontier.shape[0]
-        frontier = np.concatenate(children)
+        frontier = y[least]
         if start + frontier.shape[0] > order:     # a wrong x s_j never ends
             raise AssertionError(f"{rs.rstype}'s descent tree outgrew its order")
         layers.append(frontier)
     perms = np.concatenate(layers)
     parent = np.concatenate(parents).astype(np.int32)
-    # the least right descent: the first simple root sent negative
-    descent = np.argmax(perms >= npos, axis=1).astype(np.int8)
-    descent[0] = -1
+    descent = np.concatenate(descents).astype(np.int8)
     lengths = np.repeat(np.arange(len(layers), dtype=np.int16),
                         [len(layer) for layer in layers])
     total = perms.shape[0]

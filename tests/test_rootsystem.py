@@ -228,6 +228,19 @@ def test_length_classes(t, n_short):
     assert len(shorts) == n_short
 
 
+@pytest.mark.parametrize("t", [f"B{n}" for n in range(2, 9)]
+                         + [f"C{n}" for n in range(3, 9)] + ["F4", "G2"])
+def test_length_class_agrees_with_the_norm(t):
+    # length_class compares the integer twice_norm2; the oracle is the
+    # Fraction norm2 against the longest simple root's
+    rs = build(parse_type(t))
+    longest = max(rs.norm2(a) for a in rs.simples)
+    assert max(map(rs.norm2, rs.all_roots)) == rs.norm2(rs.highest_root)
+    for r in rs.all_roots:
+        assert rs.length_class(r) == ("long" if rs.norm2(r) == longest
+                                      else "short"), (t, r)
+
+
 def test_epsilon_views():
     b3 = build(parse_type("B3"))
     assert b3.root_to_epsilon((1, 0, 0)) == (1, -1, 0)

@@ -100,6 +100,28 @@ def test_descent_tree_matches_layer_bfs(name):
     assert [length_of[r] for r in rows] == g.lengths.tolist()
 
 
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C3", "C4",
+    "C5", "D4", "D5", "E6", "F4", "G2"])
+def test_enumeration_is_in_descent_tree_order(name):
+    # the right and left tables read this order: z = parent[z] s_k with k
+    # = descent[z] its least right descent, each length by (k, parent row)
+    rs = rs_of(name)
+    g = enumerate_group(rs)
+    npos = len(rs.positive_roots)
+    simples = [WeylElement.simple(rs, j) for j in range(rs.rank)]
+    simple_at = [rs.index[a] for a in rs.simples]
+    elems = list(g)
+    assert g.parent[0] == g.descent[0] == -1 and elems[0].is_identity()
+    for z in range(1, len(g)):
+        w, k = elems[z], int(g.descent[z])
+        assert w == elems[g.parent[z]] * simples[k], (name, z)
+        assert [w.perm[a] >= npos for a in simple_at].index(True) == k
+    for lo, hi in g.layers():
+        key = g.descent[lo:hi].astype(np.int64) * len(g) + g.parent[lo:hi]
+        assert (np.diff(key) > 0).all(), (name, lo)
+
+
 # ---------------------------------------------------------------------------
 # Poincare polynomial
 
