@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from . import cases, nilorbits, report
 from .hecke import verify_bernstein, verify_translation_words
@@ -25,8 +24,8 @@ from .torus import (
     centralizer_roots, centralizer_signature, mixed_point, standard_point,
 )
 from .verify import (
-    REFUSALS, ConfigError, RunConfig, config_from_dict, config_from_file,
-    positive_int, unit_spanning_sums, verify_all,
+    REFUSALS, ConfigError, RunConfig, positive_int, unit_spanning_sums,
+    verify_all,
 )
 from .weyl import irr_count, poincare, valid_orders
 
@@ -174,13 +173,10 @@ def cmd_hecke(args):
 
 
 def cmd_verify(args):
-    config = RunConfig()
-    if args.config:
-        config = config_from_file(args.config, config)
-    # each flag's dest is its RunConfig field; a flag given wins over the file
-    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    config = config_from_dict(
-        {k: v for k, v in flags.items() if v is not None}, config)
+    # verify_all validates the configuration, so a bad value exits 2
+    config = RunConfig(state_budget=args.state_budget,
+                       cases=tuple(args.cases or ()), fmt=args.fmt,
+                       jobs=args.jobs)
     rep = verify_all(config)
     sys.stdout.buffer.write(report.emit(rep.records, config.fmt))
     sys.stdout.buffer.flush()
@@ -245,17 +241,14 @@ def build_parser():
     q = sub.add_parser("verify", help="run the whole verification sweep")
     q.add_argument("--case", action="append", dest="cases", metavar="ID",
                    help="restrict to one case id (repeatable), e.g. E8.o16")
-    q.add_argument("--config", metavar="FILE",
-                   help="JSON configuration file; flags override it")
-    q.add_argument("--format", choices=("json", "text"), dest="fmt")
-    q.add_argument("--jobs", type=int, metavar="N",
+    q.add_argument("--format", choices=("json", "text"), dest="fmt",
+                   default="json")
+    q.add_argument("--jobs", type=int, metavar="N", default=1,
                    help="worker processes (default 1); the units whose "
                         "case ids share the part before the first dot (all "
                         "of B6.*, say) run as one bundle in one worker")
-    q.add_argument("--prime-bound", type=int, dest="prime_bound")
-    q.add_argument("--state-budget", type=int, dest="state_budget")
-    q.add_argument("--enum-budget", type=int, dest="enum_budget")
-    q.add_argument("--ball-radius", type=int, dest="ball_radius")
+    q.add_argument("--state-budget", type=int, dest="state_budget",
+                   default=nilorbits.DEFAULT_STATE_BUDGET)
     q.set_defaults(func=cmd_verify)
     return top
 

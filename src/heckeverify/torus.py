@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -28,8 +28,7 @@ import numpy as np
 from . import report
 from .rootsystem import RootSystem, RootSystemType, build, components
 from .weyl import (
-    DEFAULT_BUDGET, WeylBudgetError, enumerate_group, poincare_vanishes,
-    valid_orders)
+    WeylBudgetError, enumerate_group, poincare_vanishes, valid_orders)
 
 __all__ = [
     "INFINITE", "TorusPoint", "TorusError", "standard_point", "mixed_point",
@@ -159,9 +158,11 @@ def mixed_point(rs: RootSystem, order) -> TorusPoint:
     return TorusPoint.make(rs, order, _solve_exponents(rs, wanted))
 
 
+@lru_cache(maxsize=None)
 def center_representatives(rs: RootSystem):
     """Coset representatives of the center P^vee/Q^vee, as torsion coweights
-    (coordinates mod 1).  The identity comes first."""
+    (coordinates mod 1), computed once per root system.  The identity comes
+    first."""
     inv = rs.fundamental_weights     # the inverse Cartan matrix
     gens = [tuple(inv[k][j] % 1 for k in range(rs.rank)) for j in range(rs.rank)]
     zero = (Fraction(0),) * rs.rank
@@ -176,7 +177,7 @@ def center_representatives(rs: RootSystem):
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    out = sorted(seen)
+    out = tuple(sorted(seen))
     assert len(out) == rs.center_order()
     return out
 
@@ -309,7 +310,7 @@ def centralizer_signature(rs: RootSystem, s: TorusPoint) -> SubsystemSignature:
 # conjugacy by Weyl orbit
 
 
-def _least_images(rs: RootSystem, points, budget):
+def _least_images(rs: RootSystem, points):
     """The least image of each point over the whole Weyl group, as a tuple
     of integers; points of one order are conjugate iff these are equal.
 
@@ -317,8 +318,9 @@ def _least_images(rs: RootSystem, points, budget):
     denominator d: the q-part exactly (mod m*d at finite order m) and the
     torsion part mod d.  A group row w acts as w(v) = sum_k v_k
     coroot(w(a_k)), gathered from the per-type coroot table, a chunk of
-    rows at a time; images compare lexicographically."""
-    group = enumerate_group(rs, budget)
+    rows at a time; images compare lexicographically.  Refuses with
+    WeylBudgetError when |W| is over weyl.ENUM_BUDGET."""
+    group = enumerate_group(rs)
     coroots = np.array(rs.coroots, dtype=np.int64)
     m, n = points[0].order, rs.rank
     d = lcm(*(c.denominator for p in points for c in p.vq + p.tor))
@@ -351,14 +353,13 @@ def _least_images(rs: RootSystem, points, budget):
     return out
 
 
-def conjugate_in_G(rs: RootSystem, s: TorusPoint, t: TorusPoint,
-                   budget: int = DEFAULT_BUDGET) -> bool:
+def conjugate_in_G(rs: RootSystem, s: TorusPoint, t: TorusPoint) -> bool:
     """Whether s and t are conjugate in the simply connected group: true iff
     some Weyl element maps one coweight to the other (mod m Q^vee).  Refuses
-    with WeylBudgetError when |W| is over the budget."""
+    with WeylBudgetError when |W| is over weyl.ENUM_BUDGET."""
     if s.order != t.order:
         raise TorusError("points must share the same order of q")
-    least_s, least_t = _least_images(rs, [s, t], budget)
+    least_s, least_t = _least_images(rs, [s, t])
     return least_s == least_t
 
 
@@ -366,13 +367,13 @@ def conjugate_in_G(rs: RootSystem, s: TorusPoint, t: TorusPoint,
 # the verification entry points
 
 
-def verify_mixed_nonconjugacy(rstype: RootSystemType, m,
-                              budget: int = DEFAULT_BUDGET) -> dict:
+def verify_mixed_nonconjugacy(rstype: RootSystemType, m) -> dict:
     """Check that the mixed point (short to q, long to 1/q) is not conjugate
     to the standard point, by centralizer signature when that already
     separates them, else by exact orbit search.  Returns the
     `<type>.m<order>/nonconjugacy` record; an order outside the valid set
-    or an orbit search over budget gives a skipped record naming why."""
+    or an orbit search over weyl.ENUM_BUDGET gives a skipped record naming
+    why."""
     rs = build(rstype)
     m = _norm_order(m)
     order = "inf" if m is None else m
@@ -396,7 +397,7 @@ def verify_mixed_nonconjugacy(rstype: RootSystemType, m,
     if centralizer_signature(rs, s) != centralizer_signature(rs, t):
         return record("pass", separated, True, "signature")
     try:
-        conj = conjugate_in_G(rs, s, t, budget)
+        conj = conjugate_in_G(rs, s, t)
     except WeylBudgetError as e:
         return record("skipped", str(e))
     if conj:
@@ -404,13 +405,12 @@ def verify_mixed_nonconjugacy(rstype: RootSystemType, m,
     return record("pass", separated, True, "orbit")
 
 
-def count_one_dim_characters(rstype: RootSystemType, m,
-                             budget: int = DEFAULT_BUDGET) -> int:
+def count_one_dim_characters(rstype: RootSystemType, m) -> int:
     """Count pairwise non-conjugate points among the center translates of
     the standard and mixed points.  For the q=1 model (m=1) the count is
     the center order itself: one character per central element.  Any
     other order needs the whole Weyl group, so it refuses with
-    WeylBudgetError when |W| is over the budget."""
+    WeylBudgetError when |W| is over weyl.ENUM_BUDGET."""
     rs = build(rstype)
     m = _norm_order(m)
     z_reps = center_representatives(rs)
@@ -425,4 +425,4 @@ def count_one_dim_characters(rstype: RootSystemType, m,
     points = [central_twist(base, z)
               for base in (standard_point(rs, m), mixed_point(rs, m))
               for z in z_reps]
-    return len(set(_least_images(rs, points, budget)))
+    return len(set(_least_images(rs, points)))

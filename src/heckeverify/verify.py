@@ -24,9 +24,8 @@ record; every record is still returned.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from math import factorial, gcd, prod
 
 from . import nilorbits, report
@@ -44,7 +43,7 @@ from .torus import (
     verify_mixed_nonconjugacy,
 )
 from .weyl import (
-    DEFAULT_BUDGET, WeylBudgetError, conjugacy_class_count, enumerate_group,
+    IRR_EXCEPTIONAL, WeylBudgetError, conjugacy_class_count, enumerate_group,
     irr_count, poincare, valid_orders,
 )
 
@@ -67,17 +66,13 @@ def positive_int(name, v):
 
 @dataclass(frozen=True)
 class RunConfig:
-    prime_bound: int = 2000
     state_budget: int = nilorbits.DEFAULT_STATE_BUDGET
-    enum_budget: int = DEFAULT_BUDGET
-    ball_radius: int = 2
     cases: tuple = ()
     fmt: str = "json"
     jobs: int = 1
 
     def validate(self):
-        for name in ("prime_bound", "state_budget", "enum_budget",
-                     "ball_radius", "jobs"):
+        for name in ("state_budget", "jobs"):
             positive_int(name, getattr(self, name))
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"format must be 'json' or 'text', "
@@ -86,37 +81,6 @@ class RunConfig:
                 not all(isinstance(c, str) for c in self.cases):
             raise ConfigError("cases must be a tuple of case-id strings")
         return self
-
-
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-
-
-def config_from_dict(data, base: RunConfig = None) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a key-value mapping")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    clean = dict(data)
-    if "cases" in clean:
-        sel = clean["cases"]
-        if isinstance(sel, str):
-            sel = [sel]
-        if not isinstance(sel, (list, tuple)):
-            raise ConfigError("cases must be a list of case-id strings")
-        clean["cases"] = tuple(sel)
-    return replace(base or RunConfig(), **clean).validate()
-
-
-def config_from_file(path, base: RunConfig = None) -> RunConfig:
-    try:
-        with open(path, "rb") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read configuration file: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"configuration file is not valid JSON: {e}")
-    return config_from_dict(data, base)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +99,6 @@ EXC_DEGREES = {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
 
 VALID_ORDER_TABLE = {"E6": (7, 10, 11), "E7": (11, 13, 15, 16, 17),
                      "E8": (11, 13, 16, 17, 19, 21, 22, 23, 25, 26, 27, 28, 29)}
-
-IRR_TABLE = {"E6": 25, "E7": 60, "E8": 112, "F4": 25, "G2": 6}
 
 CLASS_COUNT_TYPES = tuple(
     [f"A{n}" for n in range(2, 10)] + [f"B{n}" for n in range(2, 8)]
@@ -261,18 +223,19 @@ def unit_valid_orders_type_d():
 
 
 def unit_irr_exceptional():
-    computed = {name: irr_count(build(parse_type(name))) for name in IRR_TABLE}
-    status = "pass" if computed == IRR_TABLE else "fail"
+    computed = {name: irr_count(build(parse_type(name)))
+                for name in IRR_EXCEPTIONAL}
+    status = "pass" if computed == IRR_EXCEPTIONAL else "fail"
     return [report.make_record(
         "weyl", "irr.exceptional", "counts",
         "character count table exceptional types",
         "irreducible character counts match the recorded values",
-        dict(IRR_TABLE), computed, status)]
+        dict(IRR_EXCEPTIONAL), computed, status)]
 
 
-def unit_class_count(name, budget):
+def unit_class_count(name):
     rs = build(parse_type(name))
-    count, sizes = conjugacy_class_count(rs, budget)
+    count, sizes = conjugacy_class_count(rs)
     expected = {"classes": irr_count(rs), "elements": rs.weyl_order()}
     computed = {"classes": count, "elements": sum(sizes)}
     return [report.make_record(
@@ -310,10 +273,10 @@ def unit_partition_inequalities(range_max, tau_max):
     return out
 
 
-def unit_character_counts(name, m, budget):
+def unit_character_counts(name, m):
     z = NON_SIMPLY_LACED_CENTER[parse_type(name).family]
-    c1 = count_one_dim_characters(parse_type(name), 1, budget)
-    cm = count_one_dim_characters(parse_type(name), m, budget)
+    c1 = count_one_dim_characters(parse_type(name), 1)
+    cm = count_one_dim_characters(parse_type(name), m)
     case, anchor = f"{name}.characters", f"central character table {name}"
     return [
         report.make_record(
@@ -328,10 +291,10 @@ def unit_character_counts(name, m, budget):
     ]
 
 
-def unit_orbit_case(name, order, prime_bound, state_budget):
+def unit_orbit_case(name, order, state_budget):
     case = f"{name}.o{order}"
     try:
-        primes = admissible_primes(order, limit=prime_bound)
+        primes = admissible_primes(order)
     except NilOrbitError as e:
         return [report.make_record(
             "nilorbits", case, nm, f"case table {case}: {label}",
@@ -340,7 +303,7 @@ def unit_orbit_case(name, order, prime_bound, state_budget):
     return nilorbits.verify_case(name, order, primes, state_budget)
 
 
-def unit_regular_count(name, prime_bound, state_budget):
+def unit_regular_count(name, state_budget):
     """Orbit count at an order past every exponent.
 
     The eigenspace is the span of the simple root lines and the bracket
@@ -354,7 +317,7 @@ def unit_regular_count(name, prime_bound, state_budget):
     rs = build(parse_type(name))
     case = f"{name}.regular"
     m = max(rs.degrees) + 1
-    primes = admissible_primes(m, limit=prime_bound)
+    primes = admissible_primes(m)
     nm = nilorbits.build_nqs(rs, standard_point(rs, m))
     parts = nilorbits.decompose(nm)
     weight_of = dict(zip(nm.basis_roots, nm.torus_weights))
@@ -522,13 +485,13 @@ UNITS = {
     # module-level names at call time, so a wrapper later rebound onto such
     # a name (a tracer's, say) is called; a dict value would keep the
     # original function
-    "mixed-nonconjugacy": lambda name, m, budget: [
-        verify_mixed_nonconjugacy(parse_type(name), m, budget)],
+    "mixed-nonconjugacy": lambda name, m: [
+        verify_mixed_nonconjugacy(parse_type(name), m)],
     "character-counts": unit_character_counts,
     "orbit-case": unit_orbit_case,
     "regular-count": unit_regular_count,
     "translation-words": lambda: verify_translation_words(),
-    "theta-ball": lambda name, radius: verify_bernstein(name, radius),
+    "theta-ball": lambda name: verify_bernstein(name),
     "character-tables": unit_character_tables,
     "spanning-sums": unit_spanning_sums,
     "translation-lengths": unit_translation_lengths,
@@ -550,34 +513,31 @@ def _plan(config: RunConfig):
     out.append(("weyl", "D.orders", "valid-orders-type-d", ()))
     out.append(("weyl", "irr.exceptional", "irr-exceptional", ()))
     for name in CLASS_COUNT_TYPES:
-        out.append(("weyl", f"{name}.classes", "class-count",
-                    (name, config.enum_budget)))
+        out.append(("weyl", f"{name}.classes", "class-count", (name,)))
     out.append(("partitions", "partitions.values", "partition-values", ()))
     out.append(("partitions", "partitions.inequalities",
                 "partition-inequalities", (500, 60)))
     for n in range(2, 9):
         for m in sorted(m for m in valid_orders(parse_type(f"B{n}")) if m % 2):
             out.append(("torus", f"B{n}.m{m}", "mixed-nonconjugacy",
-                        (f"B{n}", m, config.enum_budget)))
+                        (f"B{n}", m)))
     for name, orders in MIXED_EXTRA.items():
         for m in orders:
             out.append(("torus", f"{name}.m{m}", "mixed-nonconjugacy",
-                        (name, m, config.enum_budget)))
+                        (name, m)))
     for name in CHARACTER_TYPES:
         m = min(valid_orders(parse_type(name)))
         out.append(("torus", f"{name}.characters", "character-counts",
-                    (name, m, config.enum_budget)))
+                    (name, m)))
     for name, order in tabulated_cases():
         out.append(("nilorbits", f"{name}.o{order}", "orbit-case",
-                    (str(name), order, config.prime_bound,
-                     config.state_budget)))
+                    (str(name), order, config.state_budget)))
     for name in REGULAR_TYPES:
         out.append(("nilorbits", f"{name}.regular", "regular-count",
-                    (name, config.prime_bound, config.state_budget)))
+                    (name, config.state_budget)))
     out.append(("hecke", "words", "translation-words", ()))
     for name in BALL_TYPES:
-        out.append(("hecke", f"{name}.ball", "theta-ball",
-                    (name, config.ball_radius)))
+        out.append(("hecke", f"{name}.ball", "theta-ball", (name,)))
     out.append(("hecke", "hecke.characters", "character-tables", ()))
     for name in SPANNING_TYPES:
         out.append(("hecke", f"{name}.ddprime", "spanning-sums", (name,)))

@@ -68,7 +68,7 @@ __all__ = [
     "conjugacy_class_count", "cyclotomic",
 ]
 
-DEFAULT_BUDGET = 10_000_000
+ENUM_BUDGET = 10_000_000
 
 
 class WeylBudgetError(RuntimeError):
@@ -318,21 +318,21 @@ class GroupEnumeration:
 _ENUM_CACHE: dict = {}
 
 
-def enumerate_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> GroupEnumeration:
+def enumerate_group(rs: RootSystem) -> GroupEnumeration:
     """Enumerate the whole Weyl group down the descent tree, one pass per
     length (see the module docstring): every ascent x s_j of the length's
     rows is formed, generator by generator on one copy of the rows, and the
     ones whose least right descent is j are the next length, with parent x
     and descent j.
 
-    Refuses groups larger than the budget before doing any work, since
+    Refuses groups larger than ENUM_BUDGET before doing any work, since
     the order is known in advance from the degrees.
     """
     order = rs.weyl_order()
-    if order > budget:
+    if order > ENUM_BUDGET:
         raise WeylBudgetError(
             f"Weyl group of {rs.rstype} has order {order}, "
-            f"over the budget of {budget}")
+            f"over the budget of {ENUM_BUDGET}")
     cached = _ENUM_CACHE.get(rs.rstype)
     if cached is not None:
         return cached
@@ -460,7 +460,7 @@ def valid_orders(rs):
     return {m for m in range(2, top + 1) if not poincare_vanishes(rs, m)}
 
 
-IRR_EXCEPTIONAL = {"G": 6, "F": 25, "E": {6: 25, 7: 60, 8: 112}}
+IRR_EXCEPTIONAL = {"E6": 25, "E7": 60, "E8": 112, "F4": 25, "G2": 6}
 
 
 def irr_count(rs: RootSystem) -> int:
@@ -472,9 +472,7 @@ def irr_count(rs: RootSystem) -> int:
         return ordered_pairs(n)
     if fam == "D":
         return typeD_count(n)
-    if fam == "E":
-        return IRR_EXCEPTIONAL["E"][n]
-    return IRR_EXCEPTIONAL[fam]
+    return IRR_EXCEPTIONAL[str(rs.rstype)]
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +536,7 @@ def conjugation_table(group: GroupEnumeration, right, j: int):
     return left[right[j]]
 
 
-def conjugacy_class_count(rs: RootSystem, budget: int = DEFAULT_BUDGET):
+def conjugacy_class_count(rs: RootSystem):
     """Number and sizes of conjugacy classes: the connected components of
     the graph joining x to s_j x s_j for every simple reflection s_j.
     Returns (count, sorted sizes).
@@ -548,7 +546,7 @@ def conjugacy_class_count(rs: RootSystem, budget: int = DEFAULT_BUDGET):
     taken through the current labels, pairs already in one class are
     dropped, and each table being an involution, one orientation of each
     pair is enough.  The multiplication tables live only for the count."""
-    group = enumerate_group(rs, budget)
+    group = enumerate_group(rs)
     right = right_multiplication_table(group)
     n = len(group)
     label = np.arange(n, dtype=np.int32)

@@ -311,14 +311,15 @@ def test_verify_unknown_case(capsys):
     assert rc == 2 and "Z9.o1" in err
 
 
-def test_verify_config_file_with_flag_override(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"cases": ["A2.roots"], "fmt": "json"}))
-    rc, out, _ = run(capsys, "verify", "--config", str(path),
-                     "--format", "text")
-    assert rc == 0
-    # the flag wins over the file
-    assert out.startswith("== rootsystem")
+@pytest.mark.parametrize("flag", ["--config f.json", "--prime-bound 100",
+                                  "--enum-budget 5", "--ball-radius 1"])
+def test_removed_verify_flags_exit_2(capsys, flag):
+    # the Weyl budget, prime bound and ball radius are engine constants and
+    # there is no configuration file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--case", "A2.roots", *flag.split()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_bad_flag_value(capsys):

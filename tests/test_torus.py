@@ -354,10 +354,11 @@ def test_orbit_engine_matches_reflection_bfs(name):
 
 
 def test_character_count_refuses_over_budget():
-    # every order but q = 1 needs the whole group, here of order 384
-    with pytest.raises(WeylBudgetError, match="384"):
-        count_one_dim_characters(parse_type("B4"), 5, budget=100)
-    assert count_one_dim_characters(parse_type("B4"), 1, budget=100) == 2
+    # every order but q = 1 needs the whole group, here of order 10321920,
+    # over weyl.ENUM_BUDGET; q = 1 counts the center without enumerating
+    with pytest.raises(WeylBudgetError, match="10321920"):
+        count_one_dim_characters(parse_type("B8"), 9)
+    assert count_one_dim_characters(parse_type("B8"), 1) == 2
 
 
 def test_infinite_order_conjugacy():

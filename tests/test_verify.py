@@ -3,7 +3,7 @@
 Every unit, and every engine that judges a claim, returns records of the
 one report shape (`report.make_record`); the `orbits` and `hecke`
 subcommands print those same records.  Here we pin the configuration
-surface (validation, file loading, selection) and the determinism of
+surface (validation, selection) and the determinism of
 small selected runs, including the worked examples: the E8.o16 selection
 yields exactly its five case records, and a prime bound that is too small
 turns a case into skipped records rather than failures.  A unit that
@@ -15,6 +15,7 @@ sha256 both ways.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -24,9 +25,7 @@ from heckeverify import cases, hecke, nilorbits, report, verify
 from heckeverify.rootsystem import (
     RootSystem, StructureConstants, build, structure_constants,
 )
-from heckeverify.verify import (
-    ConfigError, RunConfig, config_from_dict, config_from_file, verify_all,
-)
+from heckeverify.verify import ConfigError, RunConfig, verify_all
 
 
 # ---------------------------------------------------------------------------
@@ -40,43 +39,12 @@ def test_defaults_validate():
 
 
 @pytest.mark.parametrize("bad", [
-    {"jobs": 0}, {"prime_bound": -3}, {"ball_radius": True},
-    {"fmt": "xml"}, {"state_budget": "9"},
+    {"jobs": 0}, {"fmt": "xml"}, {"state_budget": "9"},
+    {"cases": ["A2.roots"]}, {"jobs": True},
 ])
 def test_validate_rejects(bad):
     with pytest.raises(ConfigError):
-        config_from_dict(bad, RunConfig()).validate()
-
-
-def test_unknown_keys_are_named():
-    with pytest.raises(ConfigError, match="prime_bouund"):
-        config_from_dict({"prime_bouund": 50}, RunConfig())
-    # the dimension cap is gone: the state budget alone sizes a closure
-    with pytest.raises(ConfigError, match="keys: dim_cap"):
-        config_from_dict({"dim_cap": 12}, RunConfig())
-
-
-def test_cases_accept_string_or_list():
-    assert config_from_dict({"cases": "E8.o16"}, RunConfig()).cases == ("E8.o16",)
-    assert config_from_dict({"cases": ["a", "b"]}, RunConfig()).cases == ("a", "b")
-
-
-def test_config_file_round_trip(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"prime_bound": 500, "fmt": "text"}))
-    cfg = config_from_file(str(path), RunConfig())
-    assert cfg.prime_bound == 500 and cfg.fmt == "text"
-    # untouched keys keep their defaults
-    assert cfg.state_budget == RunConfig().state_budget
-
-
-def test_config_file_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        config_from_file(str(tmp_path / "missing.json"), RunConfig())
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        config_from_file(str(bad), RunConfig())
+        RunConfig(**bad).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +74,24 @@ def test_e8_o16_selection_gives_its_five_records():
     assert any("duplicates" in n for n in noted)
 
 
-def test_small_prime_bound_skips_instead_of_failing():
-    rep = verify_all(RunConfig(cases=("E8.o29",), prime_bound=100))
+@pytest.fixture
+def prime_limit_100(monkeypatch):
+    """The sweep's admissible primes searched below 100, not 2000."""
+    monkeypatch.setattr(verify, "admissible_primes", functools.partial(
+        nilorbits.admissible_primes, limit=100))
+
+
+def test_small_prime_bound_skips_instead_of_failing(prime_limit_100):
+    rep = verify_all(RunConfig(cases=("E8.o29",)))
     assert len(rep.records) == 5
     assert all(r["status"] == "skipped" for r in rep.records)
     assert all("below 100" in r["statement"] for r in rep.records)
     assert rep.exit_code == 0
 
 
-def test_small_prime_bound_skips_a_regular_count():
+def test_small_prime_bound_skips_a_regular_count(prime_limit_100):
     # E8.regular needs p = 1 mod 31; the smallest such prime is 311
-    rep = verify_all(RunConfig(cases=("E8.regular",), prime_bound=100))
+    rep = verify_all(RunConfig(cases=("E8.regular",)))
     assert len(rep.records) == 1
     rec = rep.records[0]
     assert rec["status"] == "skipped" and rec["case"] == "E8.regular"
@@ -175,7 +150,7 @@ def test_raising_unit_becomes_one_failed_record(monkeypatch):
 
 @pytest.mark.parametrize("entry", [
     ("hecke", "E6.ddprime", "spanning-sums", ("E6",)),
-    ("hecke", "A3.ball", "theta-ball", ("A3", 2)),
+    ("hecke", "A3.ball", "theta-ball", ("A3",)),
 ])
 def test_engine_rank_cap_is_a_refusal(entry):
     case = entry[1]
@@ -213,7 +188,7 @@ def test_missing_type_a_rotation_is_a_failure_not_a_refusal(monkeypatch):
 def test_theta_ball_counts_every_failing_pair(monkeypatch):
     monkeypatch.setattr(hecke, "_cleared_theta_product",
                         lambda rs, x, y, zc: None)
-    recs = {r["claim_id"]: r for r in verify.UNITS["theta-ball"]("A2", 2)}
+    recs = {r["claim_id"]: r for r in verify.UNITS["theta-ball"]("A2")}
     products = recs["A2.ball/theta-products"]
     assert products["status"] == "fail"
     # every ordered pair of the 25-weight ball fails: 25 * 25 products
@@ -291,7 +266,7 @@ def test_order_tables_build_no_root_system(monkeypatch):
 def test_regular_count_builds_no_structure_constants():
     # every *.regular eigenspace has no generator, so no table is read
     before = structure_constants.cache_info()
-    records = verify.unit_regular_count("E6", 2000, 300000)
+    records = verify.unit_regular_count("E6", 300000)
     after = structure_constants.cache_info()
     assert [r["status"] for r in records] == ["pass"]
     assert (after.hits, after.misses) == (before.hits, before.misses)
