@@ -175,10 +175,9 @@ def cmd_hecke(args):
 def cmd_verify(args):
     # verify_all validates the configuration, so a bad value exits 2
     config = RunConfig(state_budget=args.state_budget,
-                       cases=tuple(args.cases or ()), fmt=args.fmt,
-                       jobs=args.jobs)
+                       cases=tuple(args.cases or ()), jobs=args.jobs)
     rep = verify_all(config)
-    sys.stdout.buffer.write(report.emit(rep.records, config.fmt))
+    sys.stdout.buffer.write(report.emit(rep.records, args.fmt))
     sys.stdout.buffer.flush()
     return rep.exit_code
 

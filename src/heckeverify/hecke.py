@@ -14,15 +14,16 @@ elements exact.  Products fold reduced words one generator at a time, from
 whichever side is cheaper; everything stays in the generic Laurent ring and
 numeric specialization is left to callers.
 
-ExtAffine and Laurent are the public values.  Inside a product an element
-(w, x) is an integer code (f, x), f a small id of w interned by its root
-permutation, and has an integer id per root-system type.  The product of
-an id with a generator on either side is kept in an integer table per
-(type, generator, side), so a fold loops over ints; an entry is filled
-once, from the generator's action on the code, with its parent's length
-plus or minus one.  An ExtAffine is built only where an element enters or
-leaves the engine, and only an element entering has its length summed over
-the positive roots.  Coefficients are packed into one integer each.
+An element (w, x) is an integer code (f, x), f a small id of w interned by
+its root permutation, with an integer id per root-system type, and a
+HeckeElement maps element ids of its type's table to Laurents.  The
+product of an id with a generator on either side is kept in an integer
+table per (type, generator, side), so a fold loops over ints; an entry is
+filled once, from the generator's action on the code, with its parent's
+length plus or minus one.  ExtAffine is the boundary form: interned where
+an element enters (HeckeElement(rs, terms), basis, length), built where it
+leaves (.terms, _factor); only an entering element has its length summed
+over the positive roots.  Inside a product coefficients are packed ints.
 """
 
 from __future__ import annotations
@@ -363,10 +364,8 @@ _INTERNED: dict = {}
 
 
 def _interned(rstype) -> _Interned:
-    got = _INTERNED.get(rstype)
-    if got is None:
-        got = _INTERNED[rstype] = _Interned(rstype)
-    return got
+    return (_INTERNED.get(rstype)
+            or _INTERNED.setdefault(rstype, _Interned(rstype)))
 
 
 def length(elem: ExtAffine) -> int:
@@ -472,13 +471,30 @@ def tau_rotation(rstype):
 
 
 class HeckeElement:
-    """Finitely supported map from extended-affine elements to scalars."""
+    """Finitely supported map from extended-affine elements to scalars,
+    held as ids: element id -> nonzero Laurent over the type's _Interned
+    table g.  terms is the ExtAffine-keyed view, built on each read."""
 
-    __slots__ = ("rs", "terms")
+    __slots__ = ("g", "ids")
 
     def __init__(self, rs, terms=None):
-        self.rs = rs
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        g = self.g = _interned(rs.rstype)
+        self.ids = {g.id(e): c for e, c in (terms or {}).items() if c}
+
+    @classmethod
+    def _of(cls, g: _Interned, ids: dict) -> "HeckeElement":
+        """The element with these ids, every coefficient nonzero."""
+        out = cls.__new__(cls)
+        out.g, out.ids = g, ids
+        return out
+
+    @property
+    def rs(self):
+        return self.g.rs
+
+    @property
+    def terms(self) -> dict:
+        return {self.g.elem(k): c for k, c in self.ids.items()}
 
     @classmethod
     def unit(cls, rs) -> "HeckeElement":
@@ -489,42 +505,31 @@ class HeckeElement:
         return cls(rs, {elem: coeff})
 
     def scale(self, coeff: Laurent) -> "HeckeElement":
-        return HeckeElement(self.rs, {e: c * coeff for e, c in self.terms.items()})
+        ids = {k: c * coeff for k, c in self.ids.items()} if coeff else {}
+        return HeckeElement._of(self.g, ids)
 
     def __add__(self, o: "HeckeElement") -> "HeckeElement":
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            got = out.get(e)
-            out[e] = c if got is None else got + c
-        return HeckeElement(self.rs, out)
-
-    def __sub__(self, o: "HeckeElement") -> "HeckeElement":
-        return self + o.scale(Laurent({0: -1}))
-
-    def __mul__(self, o: "HeckeElement") -> "HeckeElement":
-        return hecke_mul(self, o)
+        out = dict(self.ids)
+        for k, c in o.ids.items():
+            out[k] = out[k] + c if k in out else c
+        return HeckeElement._of(self.g, {k: c for k, c in out.items() if c})
 
     def __eq__(self, o) -> bool:
-        return (isinstance(o, HeckeElement) and self.rs is o.rs
-                and self.terms == o.terms)
+        return (isinstance(o, HeckeElement) and self.g is o.g
+                and self.ids == o.ids)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ids
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.ids)
 
     def at_q1(self):
         """Specialize q to 1: a plain group-algebra element over the integers."""
-        out = {}
-        for e, c in self.terms.items():
-            k = c.at_q1()
-            if k:
-                out[e] = k
-        return out
+        return {e: k for e, c in self.terms.items() if (k := c.at_q1())}
 
     def __repr__(self):
-        return f"HeckeElement({len(self.terms)} terms)"
+        return f"HeckeElement({len(self.ids)} terms)"
 
 
 # Inside a product, coefficients are packed into one Python integer each
@@ -585,20 +590,24 @@ def _fold_gen(g: _Interned, terms, i, left, shift):
     return out
 
 
-def _mul_codes(g: _Interned, ta, tb, term_budget=DEFAULT_TERM_BUDGET):
-    """The product of two elements given as (id, Laurent) pairs, as a dict
-    id -> nonzero Laurent; folds the factor with the shorter total word
-    length."""
-    right = sum(g.lengths[k] for k, _ in tb) <= sum(g.lengths[k] for k, _ in ta)
-    # fold each seed's reduced word into the other factor
-    seeds, rest = (tb, ta) if right else (ta, tb)
-    words = [(g.factor(k), c) for k, c in seeds]
-    lo_seed = min((min(c.c) for _, c in seeds), default=0)
-    lo_rest = min((min(c.c) for _, c in rest), default=0)
-    rest_l1 = sum(_l1(c) for _, c in rest)
+def hecke_mul(a: HeckeElement, b: HeckeElement,
+              term_budget: int = DEFAULT_TERM_BUDGET) -> HeckeElement:
+    """Exact product; folds each term's reduced word of the factor with the
+    shorter total word length into the other factor."""
+    g = a.g
+    if b.g is not g:
+        raise HeckeError("factors live over different root systems")
+    lengths = g.lengths
+    right = (sum(map(lengths.__getitem__, b.ids))
+             <= sum(map(lengths.__getitem__, a.ids)))
+    seeds, rest = (b.ids, a.ids) if right else (a.ids, b.ids)
+    words = [(g.factor(k), c) for k, c in seeds.items()]
+    lo_seed = min((min(c.c) for c in seeds.values()), default=0)
+    lo_rest = min((min(c.c) for c in rest.values()), default=0)
+    rest_l1 = sum(map(_l1, rest.values()))
     bits = _digits(sum(_l1(c) * 3 ** len(w) for (_, w), c in words) * rest_l1)
     shift = 2 * bits
-    rest = [(k, _pack(c, lo_rest, bits)) for k, c in rest]
+    rest = [(k, _pack(c, lo_rest, bits)) for k, c in rest.items()]
     out: dict = {}
     for (om, word), cs in words:
         cs = _pack(cs, lo_seed, bits)
@@ -617,26 +626,16 @@ def _mul_codes(g: _Interned, ta, tb, term_budget=DEFAULT_TERM_BUDGET):
             raise HeckeError(
                 f"product support exceeded the {term_budget}-term budget")
     lo = lo_seed + lo_rest
-    return {e: _unpack(c, lo, bits) for e, c in out.items() if c}
-
-
-def hecke_mul(a: HeckeElement, b: HeckeElement,
-              term_budget: int = DEFAULT_TERM_BUDGET) -> HeckeElement:
-    """Exact product; folds the factor with the shorter total word length."""
-    if a.rs is not b.rs:
-        raise HeckeError("factors live over different root systems")
-    g = _interned(a.rs.rstype)
-    out = _mul_codes(g, [(g.id(e), c) for e, c in a.terms.items()],
-                     [(g.id(e), c) for e, c in b.terms.items()], term_budget)
-    return HeckeElement(a.rs, {g.elem(e): c for e, c in out.items()})
+    return HeckeElement._of(
+        g, {e: _unpack(c, lo, bits) for e, c in out.items() if c})
 
 
 @lru_cache(maxsize=4096)
-def _basis_inverse(g: _Interned, k: int) -> tuple:
-    """T_k^{-1} as (id, Laurent) pairs, from T_r^{-1} = q^{-1} (T_r + 1 - q):
-    the word's factors are folded with nonnegative exponents and q^{-m} is
-    applied at the end.  Keyed by the table itself, so an id is never read
-    against another table."""
+def _basis_inverse(g: _Interned, k: int) -> HeckeElement:
+    """T_k^{-1}, from T_r^{-1} = q^{-1} (T_r + 1 - q): the word's factors
+    are folded with nonnegative exponents and q^{-m} is applied at the end.
+    Keyed by the table itself, so an id is never read against another
+    table."""
     om, word = g.factor(k)
     bits = _digits(3 ** len(word))
     shift = 2 * bits
@@ -647,14 +646,14 @@ def _basis_inverse(g: _Interned, k: int) -> tuple:
             folded[e] = folded.get(e, 0) + c - (c << shift)
         h = folded
     inv = g.id(g.elem(om).inverse())
-    return tuple((g.times(e, inv), _unpack(c, -2 * len(word), bits))
-                 for e, c in h.items() if c)
+    lo = -2 * len(word)
+    return HeckeElement._of(g, {g.times(e, inv): _unpack(c, lo, bits)
+                                for e, c in h.items() if c})
 
 
 def basis_inverse(rs, elem: ExtAffine) -> HeckeElement:
     g = _interned(rs.rstype)
-    return HeckeElement(g.rs, {g.elem(e): c
-                               for e, c in _basis_inverse(g, g.id(elem))})
+    return _basis_inverse(g, g.id(elem))
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +673,8 @@ def _theta(rstype, x) -> HeckeElement:
     rs = build(rstype)
     y, z = _theta_parts(rs, x)
     ty, tz = ext_translation(rs, y), ext_translation(rs, z)
-    scalar = Laurent({length(tz) - length(ty): 1})
-    if not any(z):
-        return HeckeElement.basis(rs, ty, scalar)
-    g = _interned(rstype)
-    out = _mul_codes(g, [(g.id(ty), scalar)], _basis_inverse(g, g.id(tz)))
-    return HeckeElement(rs, {g.elem(e): c for e, c in out.items()})
+    top = HeckeElement.basis(rs, ty, Laurent({length(tz) - length(ty): 1}))
+    return hecke_mul(top, basis_inverse(rs, tz)) if any(z) else top
 
 
 def theta(rs, x) -> HeckeElement:
@@ -961,9 +956,9 @@ def verify_bernstein(rstype, radius=2):
                 zc = tuple(map(max, zb, zs))
                 target = translation(tuple(p + q - r for p, q, r
                                            in zip(ys, zc, zs)))[0]
-                want = {target: Laurent({m - exponent(yb, zb): 1})}
-                got = _cleared_theta_product(rs, a, b, zc)
-                if not isinstance(got, HeckeElement) or got.terms != want:
+                want = HeckeElement.basis(
+                    rs, target, Laurent({m - exponent(yb, zb): 1}))
+                if _cleared_theta_product(rs, a, b, zc) != want:
                     bad.append((a, b))
     rec("theta-products",
         f"products and transposes of {pairs} weight pairs at radius {radius} "
@@ -974,19 +969,17 @@ def verify_bernstein(rstype, radius=2):
     probe += [tuple(-1 for _ in range(rs.rank)),
               tuple(1 if j == 0 else -1 for j in range(rs.rank))]
     rho = (1,) * rs.rank
-    g = _interned(rs.rstype)
     indep_bad = []
     for x in probe:
-        base = {g.id(e): c for e, c in theta(rs, x).terms.items()}
         y0, z0 = _theta_parts(rs, x)
         for k in (1, 2):
             y = tuple(a + k * b for a, b in zip(y0, rho))
             z = tuple(a + k * b for a, b in zip(z0, rho))
-            # v^e T_{t_y} T_{t_z}^{-1}, compared with theta_x in code form
-            alt = _mul_codes(
-                g, [(g.id(translation(y)[0]), Laurent({exponent(y, z): 1}))],
-                _basis_inverse(g, g.id(translation(z)[0])))
-            if alt != base:
+            # v^e T_{t_y} T_{t_z}^{-1}, one more decomposition of theta_x
+            alt = hecke_mul(HeckeElement.basis(rs, translation(y)[0],
+                                               Laurent({exponent(y, z): 1})),
+                            basis_inverse(rs, translation(z)[0]))
+            if alt != theta(rs, x):
                 indep_bad.append((x, k))
     rec("theta-independence",
         f"{len(probe)} weights rebuilt from 3 decompositions each give one "

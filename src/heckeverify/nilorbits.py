@@ -95,7 +95,7 @@ def _order_refusal(rs: RootSystem, m):
     if m == 1:
         return (f"order 1 makes the (q-1) factor vanish; {rs.rstype} needs "
                 "a nontrivial q for the eigenspace analysis")
-    if m is not None and poincare_vanishes(rs, m):
+    if poincare_vanishes(rs, m):
         return (f"the Poincare sum of {rs.rstype} vanishes at a primitive "
                 f"order-{m} root of unity; the hypothesis fails")
 
@@ -554,6 +554,26 @@ def _checked_groupings(case, named, groupings):
     return out
 
 
+def counts_by_prime(nm: NilModule, subs, primes, state_budget, reps=()):
+    """One grouping's ((p, orbit count), ...) on one _Span the first prime
+    builds, the refusal that stopped the primes (or None), and whether reps
+    lie in distinct orbits at every prime counted (None without reps)."""
+    counts = []
+    distinct = True if reps else None
+    span = None
+    for p in primes:
+        try:
+            closure = orbit_count_ff(nm, subs, p, state_budget, span)
+        except NilOrbitError as err:
+            return tuple(counts), str(err), distinct
+        counts.append((p, closure.count))
+        distinct = distinct and representatives_distinct(closure, reps)
+        span = closure.span
+        # the next prime's closure is built only after this one is freed
+        del closure
+    return tuple(counts), None, distinct
+
+
 def case_bound(rstype, order, primes=None,
                state_budget=DEFAULT_STATE_BUDGET, groupings=None) -> CaseBound:
     """Orbit counts per grouping and their product, checked over at least
@@ -583,24 +603,11 @@ def case_bound(rstype, order, primes=None,
         subs = [named[name] for name in names]
         reps = [tuple(table.root(lbl) for lbl in rep)
                 for rep in (rec.representatives or ())] if rec else []
-        counts = []
-        refusal = None
-        distinct = True if reps else None   # None skips the check below
-        span = None         # built by the first prime, shared by the rest
-        for p in primes:
-            try:
-                closure = orbit_count_ff(nm, subs, p, state_budget, span)
-            except NilOrbitError as err:
-                refusal = str(err)
-                break
-            counts.append((p, closure.count))
-            distinct = distinct and representatives_distinct(closure, reps)
-            span = closure.span
-            # the next prime's closure is built only after this one is freed
-            del closure
+        counts, refusal, distinct = counts_by_prime(nm, subs, primes,
+                                                    state_budget, reps)
         stable = len({c for _, c in counts}) <= 1 and refusal is None
         groups.append(GroupCount(names, sum(sub.dim for sub in subs),
-                                 rec.orbits if rec else None, tuple(counts),
+                                 rec.orbits if rec else None, counts,
                                  stable, refusal, distinct))
 
     product = None

@@ -6,9 +6,11 @@ by height).  The module also carries the standard numerology (degrees,
 exponents, center order), epsilon-coordinate views for the classical families
 and F4, and Chevalley structure constants with a documented sign convention.
 
-The one exact integer elimination, smith, lives here too: it gives the
-center order, the torus classes on each support pattern of an eigenspace
-(nilorbits) and the rank of a torus-weight matrix (verify).
+The two exact integer eliminations live here too.  smith gives the center
+order, the torus classes on each support pattern of an eigenspace
+(nilorbits) and the rank of a torus-weight matrix (verify); _adjugate
+(fraction-free Bareiss) gives the Cartan adjugate, from which the
+fundamental weights and the torus coweight coordinates are read.
 
 Numbering of simple roots is Bourbaki's throughout:
 

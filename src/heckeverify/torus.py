@@ -46,10 +46,9 @@ class TorusError(ValueError):
 
 
 def _norm_order(m):
-    if m is None or m == float("inf"):
-        return None
-    if not isinstance(m, int) or m < 1:
-        raise TorusError(f"order must be a positive integer or infinite, got {m!r}")
+    if m is not None and (not isinstance(m, int) or m < 1):
+        raise TorusError(f"order must be a positive integer, or None for "
+                         f"the infinite order, got {m!r}")
     return m
 
 
@@ -324,33 +323,38 @@ def _least_images(rs: RootSystem, points):
     coroots = np.array(rs.coroots, dtype=np.int64)
     m, n = points[0].order, rs.rank
     d = lcm(*(c.denominator for p in points for c in p.vq + p.tor))
-    out = []
+    scaled = []
     for p in points:
         vq = [int(c * d) for c in p.vq]
         tor = [int(c * d) for c in p.tor]
         # int64 guard: no image coordinate exceeds this before reduction
         assert (sum(map(abs, vq + tor)) * int(np.abs(coroots).max())
                 < 2 ** 62), "torus coordinates too large for int64"
-        columns = ([(vq, m * d if m else None, i) for i in range(n)]
-                   + [(tor, d, i) for i in range(n)])
-        best = None
-        for lo in range(0, len(group), _ROW_CHUNK):
-            rows = group.perms[lo:lo + _ROW_CHUNK]
-            least = []
+        scaled.append(((np.array(vq, dtype=np.int64), m * d if m else None),
+                       (np.array(tor, dtype=np.int64), d)))
+    best = [None] * len(points)
+    for lo in range(0, len(group), _ROW_CHUNK):
+        chunk = group.perms[lo:lo + _ROW_CHUNK, :n]   # root ids of w(a_k)
+        first = coroots[chunk, 0]       # the same for every point
+        for j, parts in enumerate(scaled):
+            rows, least = chunk, []
             # lexicographic minimum: one image column at a time, over the
             # rows still tied for least
-            for vec, mod, i in columns:
-                col = np.zeros(len(rows), dtype=np.int64)
-                for k, c in enumerate(vec):
-                    if c:
-                        col += c * coroots[rows[:, k], i]
-                if mod:
-                    col %= mod
-                least.append(int(col.min()))
-                rows = rows[col == least[-1]]
-            best = least if best is None else min(best, least)
-        out.append(tuple(best))
-    return out
+            for vec, mod in parts:
+                if not vec.any():
+                    # zero on every row, as the torsion part is at finite
+                    # order: TorusPoint.make folds it into the q-part
+                    least += [0] * n
+                    continue
+                for i in range(n):
+                    col = (first if rows is chunk and i == 0
+                           else coroots[rows, i]) @ vec
+                    if mod:
+                        col %= mod
+                    least.append(int(col.min()))
+                    rows = rows[col == least[-1]]
+            best[j] = least if best[j] is None else min(best[j], least)
+    return [tuple(b) for b in best]
 
 
 def conjugate_in_G(rs: RootSystem, s: TorusPoint, t: TorusPoint) -> bool:
@@ -416,7 +420,7 @@ def count_one_dim_characters(rstype: RootSystemType, m) -> int:
     z_reps = center_representatives(rs)
     if m == 1:
         return len(z_reps)
-    if m is not None and poincare_vanishes(rs, m):
+    if poincare_vanishes(rs, m):
         raise TorusError(f"Poincare polynomial vanishes at order {m}")
     classes = [rs.length_class(a) for a in rs.simples]
     if len(set(classes)) == 1:

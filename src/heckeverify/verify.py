@@ -68,15 +68,11 @@ def positive_int(name, v):
 class RunConfig:
     state_budget: int = nilorbits.DEFAULT_STATE_BUDGET
     cases: tuple = ()
-    fmt: str = "json"
     jobs: int = 1
 
     def validate(self):
         for name in ("state_budget", "jobs"):
             positive_int(name, getattr(self, name))
-        if self.fmt not in ("json", "text"):
-            raise ConfigError(f"format must be 'json' or 'text', "
-                              f"got {self.fmt!r}")
         if not isinstance(self.cases, tuple) or \
                 not all(isinstance(c, str) for c in self.cases):
             raise ConfigError("cases must be a tuple of case-id strings")
@@ -323,18 +319,16 @@ def unit_regular_count(name, state_budget):
     weight_of = dict(zip(nm.basis_roots, nm.torus_weights))
     weight_rank = len(smith(nm.torus_weights)[2])
     contents = [gcd(*weight_of[sub.support[0]]) for sub in parts]
-    rational = {}
-    predicted = {}
-    spans = [None] * len(parts)     # each module's, built by the first prime
-    for q in primes:
-        counts = []
-        for k, sub in enumerate(parts):
-            closure = nilorbits.orbit_count_ff(nm, [sub], q, state_budget,
-                                               spans[k])
-            spans[k] = closure.span
-            counts.append(closure.count)
-        rational[str(q)] = prod(counts)
-        predicted[str(q)] = prod(1 + gcd(c, q - 1) for c in contents)
+    per_module = []
+    for sub in parts:
+        counts, refusal, _ = nilorbits.counts_by_prime(nm, [sub], primes,
+                                                       state_budget)
+        if refusal is not None:
+            raise NilOrbitError(refusal)
+        per_module.append(dict(counts))
+    rational = {str(q): prod(c[q] for c in per_module) for q in primes}
+    predicted = {str(q): prod(1 + gcd(c, q - 1) for c in contents)
+                 for q in primes}
     independent = (weight_rank == rs.rank and len(parts) == rs.rank
                    and all(sub.dim == 1 for sub in parts)
                    and not nm.unipotent_generators)

@@ -427,17 +427,17 @@ def _poincare(degrees):
     return tuple(out)
 
 
-INFINITE_ORDER = float("inf")
+def _finite_order(m) -> int:
+    if not isinstance(m, int) or m < 2:
+        raise ValueError(f"order must be an integer >= 2, or None for the "
+                         f"infinite order, got {m!r}")
+    return m
 
 
 def poincare_vanishes(rs: RootSystem, m) -> bool:
     """Whether the Poincare polynomial vanishes at a primitive m-th root
-    of unity.  m may be the distinguished value inf (never vanishes)."""
-    if m is None or m == INFINITE_ORDER:
-        return False
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"order must be an integer >= 2 or inf, got {m!r}")
-    return _vanishes(rs.degrees, m)
+    of unity.  m = None is the infinite order (never vanishes)."""
+    return m is not None and _vanishes(rs.degrees, _finite_order(m))
 
 
 @lru_cache(maxsize=None)
@@ -447,9 +447,8 @@ def _vanishes(degrees, m):
 
 def vanishes_by_degrees(rs: RootSystem, m) -> bool:
     """Degree-divisibility shortcut: vanishes iff m divides some degree."""
-    if m is None or m == INFINITE_ORDER:
-        return False
-    return any(d % m == 0 for d in rs.degrees)
+    return m is not None and any(d % _finite_order(m) == 0
+                                 for d in rs.degrees)
 
 
 def valid_orders(rs):

@@ -296,6 +296,13 @@ def test_verify_selected_case_text(capsys):
     assert "pass: 1  fail: 0" in out
 
 
+def test_verify_refuses_an_unknown_format(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "--case", "A2.roots", "--format", "xml"])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_selected_case_json_lines(capsys):
     rc, out, _ = run(capsys, "verify", "--case", "A2.roots",
                      "--case", "partitions.values")

@@ -36,6 +36,22 @@ def rs_of(name):
     return build(parse_type(name))
 
 
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty registry of interned tables.  Cached Hecke elements and
+    inverses carry their table, so the caches are cleared on set-up and
+    again on teardown: nothing built over the temporary tables outlives
+    them."""
+    caches = (hecke._theta, hecke._theta_translated, hecke._basis_inverse,
+              omega_group)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(hecke, "_INTERNED", {})
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # scalars
 
@@ -198,11 +214,9 @@ def test_omega_sizes_match_the_cartan_determinant():
         assert all(length(e) == 0 for e in om)
 
 
-def test_omega_group_interns_no_candidate(monkeypatch):
+def test_omega_group_interns_no_candidate(fresh_tables):
     d4 = parse_type("D4")
-    monkeypatch.setattr(hecke, "_INTERNED", {})
     table = hecke._interned(d4)
-    omega_group.cache_clear()
     finite_ids = len(table.perms)
     assert len(omega_group(d4)) == 4
     assert [table.elem(k) for k in range(len(table.codes))] == [
@@ -273,11 +287,7 @@ def test_descent_test_and_neighbours_match_the_group_law(name):
                 assert s & 1 == (lp > le)
 
 
-def test_stored_lengths_after_units_equal_the_root_sum(monkeypatch):
-    monkeypatch.setattr(hecke, "_INTERNED", {})
-    for cached in (hecke._theta, hecke._theta_translated,
-                   hecke._basis_inverse):
-        cached.cache_clear()
+def test_stored_lengths_after_units_equal_the_root_sum(fresh_tables):
     cfg = RunConfig(cases=("hecke.characters", "A2.ball"))
     assert all(r["status"] == "pass" for r in verify_all(cfg).records)
     assert sum(len(g.codes) for g in hecke._INTERNED.values()) > 1000
@@ -493,6 +503,27 @@ def test_products_do_not_leak_between_types_of_equal_rank():
         assert json.loads(fresh.stdout) == {name: here[name]}
 
 
+def test_products_stay_on_element_ids(monkeypatch):
+    # an ExtAffine is built (elem) or interned (id) only where an element
+    # enters or leaves: never inside a product, and never on a warm ball
+    rs = rs_of("A2")
+    a, b = theta(rs, (1, -1)), theta(rs, (-2, 1))
+    verify_bernstein("A2")          # warms every cache the ball reads
+    calls = Counter()
+    for name in ("elem", "id"):
+        real = getattr(hecke._Interned, name)
+
+        def spy(self, arg, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, arg)
+
+        monkeypatch.setattr(hecke._Interned, name, spy)
+    assert len(hecke_mul(a, b)) > 1
+    assert calls == {}
+    assert all(r["status"] == "pass" for r in verify_bernstein("A2"))
+    assert calls["elem"] == 0
+
+
 def test_term_budget_refusal():
     rs = rs_of("A2")
     d, _ = build_D_Dprime(rs)
@@ -682,7 +713,7 @@ def test_bernstein_ball_needs_a_positive_integer_radius(radius):
 
 
 def test_theta_independence_fails_on_a_wrong_theta(monkeypatch):
-    # theta_x compared with its rebuilds in code form: a wrong theta at one
+    # theta_x compared with its rebuilds: a wrong theta at one
     # probe weight fails both rebuilds of that weight and nothing else
     real = hecke.theta
     wrong = (-1, -1)
@@ -801,10 +832,6 @@ def canonical_dump(name, radius=2):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PRODUCTS))
-def test_ball_products_are_golden(name, monkeypatch):
-    monkeypatch.setattr(hecke, "_INTERNED", {})
-    for cached in (hecke._theta, hecke._theta_translated,
-                   hecke._basis_inverse):
-        cached.cache_clear()
+def test_ball_products_are_golden(name, fresh_tables):
     got = hashlib.sha256(canonical_dump(name).encode()).hexdigest()
     assert got == GOLDEN_PRODUCTS[name]

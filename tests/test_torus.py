@@ -81,6 +81,8 @@ def test_order_validation():
         standard_point(rs, 0)
     with pytest.raises(TorusError):
         standard_point(rs, Fraction(3, 2))
+    with pytest.raises(TorusError, match="None for the infinite order"):
+        standard_point(rs, float("inf"))
     with pytest.raises(TorusError):
         standard_point(rs, 5, assignment=[1])
 

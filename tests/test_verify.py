@@ -35,11 +35,11 @@ from heckeverify.verify import ConfigError, RunConfig, verify_all
 def test_defaults_validate():
     cfg = RunConfig()
     assert cfg.validate() is cfg
-    assert cfg.fmt == "json" and cfg.jobs == 1
+    assert cfg.jobs == 1
 
 
 @pytest.mark.parametrize("bad", [
-    {"jobs": 0}, {"fmt": "xml"}, {"state_budget": "9"},
+    {"jobs": 0}, {"state_budget": "9"},
     {"cases": ["A2.roots"]}, {"jobs": True},
 ])
 def test_validate_rejects(bad):

@@ -20,7 +20,7 @@ from heckeverify.rootsystem import parse_type, build
 from heckeverify.weyl import (
     WeylBudgetError, WeylElement, enumerate_group, poincare,
     poincare_vanishes, vanishes_by_degrees, valid_orders, irr_count,
-    conjugacy_class_count, conjugation_table, cyclotomic, INFINITE_ORDER,
+    conjugacy_class_count, conjugation_table, cyclotomic,
 )
 from heckeverify.partitions import p, ordered_pairs, typeD_count
 
@@ -165,8 +165,10 @@ def test_vanishing_examples():
 
 
 def test_vanishing_infinite_order():
-    assert poincare_vanishes(rs_of("B2"), INFINITE_ORDER) is False
     assert poincare_vanishes(rs_of("B2"), None) is False
+    # None is the one spelling of the infinite order
+    with pytest.raises(ValueError, match="None for the infinite order"):
+        poincare_vanishes(rs_of("B2"), float("inf"))
     with pytest.raises(ValueError):
         poincare_vanishes(rs_of("B2"), 1)
 
