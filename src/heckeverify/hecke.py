@@ -67,14 +67,6 @@ class Laurent:
     def unit(cls) -> "Laurent":
         return cls({0: 1})
 
-    @classmethod
-    def q_power(cls, e) -> "Laurent":
-        """q^e as a monomial; e may be a half-integer times 2 staying whole."""
-        two = 2 * e
-        if two != int(two):
-            raise HeckeError(f"exponent {e} is not a half-integer")
-        return cls({int(two): 1})
-
     def __add__(self, o: "Laurent") -> "Laurent":
         out = dict(self.c)
         for e, k in o.c.items():
@@ -207,8 +199,7 @@ class _Interned:
         self.simples = [rs.index[a] for a in rs.simples]
         roots = [highest_short_root(rs), *rs.simples]
         self.walls = [rs.index[r] for r in roots]
-        self.weights = [tuple(rs.pairing(r, j) for j in range(rs.rank))
-                        for r in rs.all_roots]
+        self.weights = list(map(tuple, rs.pairings.tolist()))
         self.identity = self._add(
             (self.finite(tuple(range(2 * self.npos))), (0,) * rs.rank), 0)
         self.gens = [self.finite(WeylElement.reflection(rs, r).perm)
@@ -382,9 +373,9 @@ def is_dominant(rs, x) -> bool:
 
 
 def highest_short_root(rs):
-    short = min(rs.norm2(s) for s in rs.simples)
+    short = min(rs.twice_norm2(s) for s in rs.simples)
     # the positive roots are ordered by height
-    return [r for r in rs.positive_roots if rs.norm2(r) == short][-1]
+    return [r for r in rs.positive_roots if rs.twice_norm2(r) == short][-1]
 
 
 @lru_cache(maxsize=None)
@@ -394,7 +385,7 @@ def affine_generators(rstype):
     rs = build(rstype)
     beta = highest_short_root(rs)
     gens = [ExtAffine(WeylElement.reflection(rs, beta),
-                      tuple(-rs.pairing(beta, j) for j in range(rs.rank)))]
+                      tuple((-rs.pairings[rs.index[beta]]).tolist()))]
     gens += [ExtAffine(WeylElement.simple(rs, j), (0,) * rs.rank)
              for j in range(rs.rank)]
     for g in gens:

@@ -125,7 +125,7 @@ def build_nqs(rs: RootSystem, s: TorusPoint, sc=None) -> NilModule:
                 hit = (index[summed], sc.n(gamma, beta))
             row.append(hit)
         bracket.append(tuple(row))
-    weights = tuple(tuple(rs.pairing(b, j) for j in range(rs.rank)) for b in basis)
+    weights = tuple(map(tuple, rs.pairings[[rs.index[b] for b in basis]].tolist()))
     return NilModule(rs, s, basis, weights, gens, tuple(bracket))
 
 

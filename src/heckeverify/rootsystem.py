@@ -2,7 +2,14 @@
 
 Roots are integer coordinate tuples over the simple roots, enumerated by an
 exact closure algorithm driven only by the Cartan matrix (root strings, height
-by height).  The module also carries the standard numerology (degrees,
+by height).  A RootSystem holds its roots once as an int array, roots
+(positive roots first, then their negatives), and one pairing table,
+pairings = roots @ cartan: row k is <root k, alpha_j^vee> for every j.  That
+table is the one source of these pairings for roots: the reflection
+table (weyl) and the torus weights (nilorbits, hecke) read it, and the
+positive-root closure carries the same numbers up each height.
+pairing() computes the number for vectors that are not roots.  The
+twice-norms and the coroots are whole-array steps on roots too.  The module also carries the standard numerology (degrees,
 exponents, center order), epsilon-coordinate views for the classical families
 and F4, and Chevalley structure constants with a documented sign convention.
 
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
+from operator import add
 
 import numpy as np
 
@@ -318,23 +326,29 @@ class RootSystem:
         self.rank = rstype.rank
         self.cartan, self._simple_norm2, self._bil2 = _cartan_matrix(rstype)
         self.simples = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        self.positive_roots = self._enumerate_positive()
-        self.all_roots = self.positive_roots + [self._neg(r) for r in self.positive_roots]
-        self.index = {r: i for i, r in enumerate(self.all_roots)}
         self.degrees = degrees_of(rstype)
+        self.positive_roots = self._enumerate_positive()
+        # every root as an int row, the positive ones first and then their
+        # negatives in the same order, and the one pairing table:
+        # pairings[k, j] = <roots[k], alpha_j^vee>
+        positive = np.array(self.positive_roots, dtype=np.int64)
+        self.roots = np.concatenate([positive, -positive])
+        self.pairings = self.roots @ np.array(self.cartan, dtype=np.int64)
+        self.all_roots = list(map(tuple, self.roots.tolist()))
+        self.index = {r: i for i, r in enumerate(self.all_roots)}
         self._validate_counts()
         self.highest_root = self.positive_roots[-1]
         self.twice_epsilon_view = _twice_epsilon_view(rstype)
-        # 2(r, r) for every root, an integer
-        self._twice_norm2 = {r: self._twice_form(r) for r in self.all_roots}
+        # 2(r, r) for every root, an integer: one product with twice the form
+        twice = ((self.roots @ np.array(self._bil2, dtype=np.int64))
+                 * self.roots).sum(axis=1)
+        self._twice_norm2 = dict(zip(self.all_roots, twice.tolist()))
 
     # -- construction -------------------------------------------------------
 
-    def _neg(self, root):
-        return tuple(-c for c in root)
-
     def pairing(self, root, j) -> int:
-        """<root, alpha_j^vee>, an integer."""
+        """<root, alpha_j^vee>, an integer, for any integer vector; the
+        pairings table has it for every root."""
         return sum(c * self.cartan[i][j] for i, c in enumerate(root) if c)
 
     def reflect(self, root, j):
@@ -349,37 +363,41 @@ class RootSystem:
     def _enumerate_positive(self):
         """All positive roots, ordered by (height, lexicographic coords).
 
-        Standard root-string closure: having all roots of height <= h, a sum
-        beta + alpha_j (beta of height h) is a root iff the string
-        count p - <beta, alpha_j^vee> is positive, where p is the number of
-        times alpha_j can be subtracted from beta.
+        Standard root-string closure, one height at a time: beta + alpha_j
+        (beta of height h) is a root iff the string count p - <beta,
+        alpha_j^vee> is positive, where p is the number of times alpha_j can
+        be subtracted from beta.  Both numbers are carried up with the
+        roots, not probed: gamma = beta + alpha_j has the pairings of beta
+        plus row j of the Cartan matrix, and p(gamma, j) = p(beta, j) + 1,
+        while p(gamma, k) = 0 for every k that gives gamma no source of
+        height h this way (gamma - alpha_k, if a root, has height h).  At
+        these sizes this loop is faster than a numpy pass per height (E8:
+        0.26 against 0.67 ms).
         """
-        known = set(self.simples)
-        layer = list(self.simples)
-        out = [sorted(self.simples)]
+        cartan, rank = self.cartan, self.rank
+        # root -> (p for each j, <root, alpha_j^vee> for each j)
+        state = {s: ([0] * rank, list(cartan[i]))
+                 for i, s in enumerate(self.simples)}
+        layer = sorted(state)
+        out = list(layer)
         while layer:
-            nxt = set()
+            nxt = {}
             for beta in layer:
-                for j in range(self.rank):
-                    p = 0
-                    probe = list(beta)
-                    while True:
-                        probe[j] -= 1
-                        if tuple(probe) in known:
-                            p += 1
-                        else:
-                            break
-                    if p - self.pairing(beta, j) > 0:
-                        cand = list(beta)
-                        cand[j] += 1
-                        nxt.add(tuple(cand))
-            nxt -= known
-            if nxt:
-                known |= nxt
-                out.append(sorted(nxt))
+                down, pair = state[beta]
+                for j in range(rank):
+                    if down[j] > pair[j]:
+                        gamma = list(beta)
+                        gamma[j] += 1
+                        gamma = tuple(gamma)
+                        grown = nxt.get(gamma)
+                        if grown is None:
+                            grown = nxt[gamma] = (
+                                [0] * rank, list(map(add, pair, cartan[j])))
+                        grown[0][j] = down[j] + 1
+            state = nxt
             layer = sorted(nxt)
-        flat = [r for lev in out for r in lev]
-        return flat
+            out += layer
+        return out
 
     def _validate_counts(self):
         expected = sum(d - 1 for d in self.degrees)
@@ -451,8 +469,12 @@ class RootSystem:
     @cached_property
     def coroots(self):
         """coroots[k] = coroot_coords(all_roots[k]): the one coroot table,
-        built on first use."""
-        return tuple(self.coroot_coords(r) for r in self.all_roots)
+        built on first use, for all roots in one exact division."""
+        twice = np.array(list(self._twice_norm2.values()), dtype=np.int64)
+        num = self.roots * np.diag(np.array(self._bil2, dtype=np.int64))
+        coroots, rem = np.divmod(num, twice[:, None])
+        assert not rem.any(), self.rstype
+        return tuple(map(tuple, coroots.tolist()))
 
     def exponents(self):
         return tuple(d - 1 for d in self.degrees)

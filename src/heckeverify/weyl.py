@@ -1,5 +1,12 @@
 """Weyl groups: enumeration, Poincare polynomials, character counts.
 
+The valid orders of q are read from the degrees alone: for m >= 2 the
+Poincare polynomial P_W(q) = prod_i (q^d_i - 1)/(q - 1) vanishes at a
+primitive m-th root of unity zeta iff m divides some degree d_i.  Since
+zeta != 1, the factor (zeta^d - 1)/(zeta - 1) is zero iff zeta^d = 1, iff
+m divides d, and a product is zero iff a factor is.  Long division by the
+cyclotomic polynomial lives on only as the test oracle for this rule.
+
 The whole group is enumerated as integer arrays: row i holds the root
 indices (w(alpha_1), ..., w(alpha_n)) of element i; this scales to a few
 million elements.  Rows are multiplied through one table per type, the
@@ -56,16 +63,17 @@ built for one class count and not kept.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from .partitions import p, ordered_pairs, typeD_count
-from .rootsystem import RootSystem, build, component_labels
+from .rootsystem import RootSystem, RootSystemError, build, component_labels
 
 __all__ = [
     "WeylBudgetError", "WeylElement", "GroupEnumeration", "enumerate_group",
     "poincare", "poincare_vanishes", "valid_orders", "irr_count",
-    "conjugacy_class_count", "cyclotomic",
+    "conjugacy_class_count",
 ]
 
 ENUM_BUDGET = 10_000_000
@@ -92,7 +100,7 @@ class WeylElement:
 
     def __init__(self, rs: RootSystem, images):
         # w(root r) = sum_i r_i w(alpha_i): row r of (roots @ images)
-        coords = _root_matrix(rs.rstype) @ np.array(images, dtype=np.int64)
+        coords = rs.roots @ np.array(images, dtype=np.int64)
         self.rs = rs
         self.perm = tuple(map(rs.index.__getitem__, map(tuple, coords.tolist())))
         self._hash = None
@@ -196,52 +204,76 @@ class WeylElement:
         return f"WeylElement({self.rs.rstype}, word={self.word()})"
 
 
-@lru_cache(maxsize=None)
-def _root_matrix(rstype):
-    """rs.all_roots as an int64 array, one row per root."""
-    return np.array(build(rstype).all_roots, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # numpy engine
 
 
+def _root_ids(rs: RootSystem, vecs):
+    """rs.index of every row of an int array of roots (any leading shape),
+    by one searchsorted over the root codes.
+
+    A root's code is its coordinates read as digits in the mixed radix
+    t_i + 1, t the highest root.  Distinct roots get distinct codes: the
+    difference of two roots of one sign has every digit smaller than its
+    radix in size, and the difference of a positive and a negative root
+    is a nonzero vector with no negative coordinate."""
+    radix = np.array(rs.highest_root, dtype=np.int64) + 1
+    if prod(radix.tolist()) >= 2 ** 63:
+        raise RootSystemError(f"{rs.rstype}: root codes overflow int64")
+    weights = np.concatenate([[1], np.cumprod(radix[:-1])])
+    codes = rs.roots @ weights
+    order = np.argsort(codes)
+    want = vecs @ weights
+    at = np.searchsorted(codes[order], want).clip(max=len(codes) - 1)
+    assert (codes[order[at]] == want).all(), f"a vector is not a root of {rs.rstype}"
+    return order[at]
+
+
 @lru_cache(maxsize=None)
 def _height_steps(rstype):
-    """One (b, a, b') triple of root-index lists per height above one:
-    every positive root b of that height has a simple root a = alpha_t
-    with <b, alpha_t^vee> > 0, so b' = s_t(b) is one lower."""
+    """One (b, a, b') triple of root-index arrays per height above one, in
+    height order: every positive root b has a simple root a = alpha_t with
+    <b, alpha_t^vee> > 0 (the least such t is taken), so b' = s_t(b) is
+    lower."""
     rs = build(rstype)
-    steps = {}
-    for root in rs.positive_roots:
-        if rs.height(root) > 1:
-            t = next(t for t in range(rs.rank) if rs.pairing(root, t) > 0)
-            steps.setdefault(rs.height(root), []).append(
-                (rs.index[root], rs.index[rs.simples[t]],
-                 rs.index[rs.reflect(root, t)]))
-    return [tuple(zip(*steps[h])) for h in sorted(steps)]
+    npos = len(rs.positive_roots)
+    b = np.arange(npos)
+    pair = rs.pairings[:npos]
+    t = np.argmax(pair > 0, axis=1)
+    lower = rs.roots[:npos].copy()
+    lower[b, t] -= pair[b, t]
+    a = np.array([rs.index[s] for s in rs.simples])[t]
+    b2 = _root_ids(rs, lower)
+    height = rs.roots[:npos].sum(axis=1)
+    bounds = np.searchsorted(height, np.arange(2, height[-1] + 2)).tolist()
+    return [(b[lo:hi], a[lo:hi], b2[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 @lru_cache(maxsize=None)
 def _reflection_table(rstype):
     """refl[b, r] = root index of s_b(r), for every pair of roots (int16).
 
-    Built up the heights from the simple reflections: for b, a = alpha_t
-    and b' = s_t(b) from _height_steps, s_b = s_t s_b' s_t; and
-    s_-b = s_b."""
+    The simple rows are s_j(r) = r - <r, alpha_j^vee> alpha_j, read off the
+    pairing table and looked up in one code search.  The others are built
+    up the heights, one gather per height: for b, a = alpha_t and
+    b' = s_t(b) from _height_steps, s_b = s_t s_b' s_t; and s_-b = s_b."""
     rs = build(rstype)
-    npos = len(rs.positive_roots)
-    refl = np.empty((2 * npos, 2 * npos), dtype=np.int16)
-    for j, a in enumerate(rs.simples):
-        refl[rs.index[a]] = [rs.index[rs.reflect(r, j)] for r in rs.all_roots]
-    for level in _height_steps(rstype):
-        for b, a, b2 in zip(*level):
-            st = refl[a]
-            refl[b] = st[refl[b2][st]]
-    every = np.arange(2 * npos)
-    for b, root in enumerate(rs.positive_roots):
-        if refl[b, b] != b + npos or (refl[b][refl[b]] != every).any():
-            raise AssertionError(f"s_{root} is not a reflection of {rstype}")
+    npos, rank = len(rs.positive_roots), rs.rank
+    refl = np.full((2 * npos, 2 * npos), -1, dtype=np.int16)
+    images = (rs.roots[None] - rs.pairings.T[:, :, None]
+              * np.eye(rank, dtype=np.int64)[:, None, :])
+    refl[[rs.index[a] for a in rs.simples]] = _root_ids(rs, images)
+    for b, a, b2 in _height_steps(rstype):
+        st = refl[a]
+        rows = np.arange(b.size)[:, None]
+        refl[b] = st[rows, refl[b2][rows, st]]
+    pos = np.arange(npos)
+    bad = ((refl[pos, pos] != pos + npos)
+           | (refl[pos[:, None], refl[:npos]] != np.arange(2 * npos)).any(axis=1))
+    if bad.any():
+        root = rs.positive_roots[int(np.argmax(bad))]
+        raise AssertionError(f"s_{root} is not a reflection of {rstype}")
     refl[npos:] = refl[:npos]
     return refl
 
@@ -383,37 +415,6 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_divmod(num, den):
-    """Long division of integer polynomials: (quotient, remainder).  Every
-    quotient coefficient must be an integer; the remainder keeps num's
-    length, zero above the divisor's degree."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        assert c % lead == 0
-        q = c // lead
-        out[i - dd] = q
-        for k, y in enumerate(den):
-            num[i - dd + k] -= q * y
-    return out, num
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(m: int):
-    """Coefficients of the m-th cyclotomic polynomial, ascending."""
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic(d))
-            assert not any(rem), "division was not exact"
-    return tuple(poly)
-
-
 def poincare(rs: RootSystem):
     """Coefficients of sum_w q^l(w), ascending; computed from the degrees."""
     return _poincare(rs.degrees)
@@ -427,28 +428,23 @@ def _poincare(degrees):
     return tuple(out)
 
 
-def _finite_order(m) -> int:
+def poincare_vanishes(rs: RootSystem, m) -> bool:
+    """Whether the Poincare polynomial vanishes at a primitive m-th root
+    of unity: exactly when m divides some degree (Humphreys, "Reflection
+    Groups and Coxeter Groups", 3.15).  m = None is the infinite order
+    (never vanishes).
+
+    Proof: P_W(q) = prod_i (q^d_i - 1)/(q - 1), and for m >= 2 a primitive
+    m-th root zeta is not 1, so the factor (zeta^d - 1)/(zeta - 1) is zero
+    iff zeta^d = 1, iff m divides d; a product vanishes iff a factor does.
+    Long division of P_W by the cyclotomic polynomial, in
+    tests/test_weyl.py, is the oracle the tests hold this rule to."""
+    if m is None:
+        return False
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"order must be an integer >= 2, or None for the "
                          f"infinite order, got {m!r}")
-    return m
-
-
-def poincare_vanishes(rs: RootSystem, m) -> bool:
-    """Whether the Poincare polynomial vanishes at a primitive m-th root
-    of unity.  m = None is the infinite order (never vanishes)."""
-    return m is not None and _vanishes(rs.degrees, _finite_order(m))
-
-
-@lru_cache(maxsize=None)
-def _vanishes(degrees, m):
-    return not any(_poly_divmod(_poincare(degrees), cyclotomic(m))[1])
-
-
-def vanishes_by_degrees(rs: RootSystem, m) -> bool:
-    """Degree-divisibility shortcut: vanishes iff m divides some degree."""
-    return m is not None and any(d % _finite_order(m) == 0
-                                 for d in rs.degrees)
+    return any(d % m == 0 for d in rs.degrees)
 
 
 def valid_orders(rs):

@@ -68,15 +68,6 @@ def test_laurent_arithmetic():
     assert Laurent({3: 2}).at_q1() == 2
 
 
-def test_q_power_accepts_halves():
-    assert Laurent.q_power(1) == L_Q
-    assert Laurent.q_power(-1) == L_QINV
-    from fractions import Fraction
-    assert Laurent.q_power(Fraction(1, 2)) == Laurent({1: 1})
-    with pytest.raises(HeckeError, match="half-integer"):
-        Laurent.q_power(Fraction(1, 3))
-
-
 # ---------------------------------------------------------------------------
 # the extended group
 

@@ -1,14 +1,16 @@
 """Weyl group enumeration, Poincare polynomials, character counts.
 
 Cross-checks: the degree-product Poincare polynomial against BFS length
-histograms, root-of-unity vanishing three ways (polynomial remainder,
-degree divisibility, complex evaluation), and irreducible-character
+histograms, root-of-unity vanishing three ways (the degree rule
+poincare_vanishes implements, long division by the cyclotomic polynomial
+here as the oracle, and complex evaluation), and irreducible-character
 formulas against vectorized conjugacy-class sweeps.
 """
 
 import cmath
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,17 +18,23 @@ import numpy as np
 import pytest
 
 from heckeverify import weyl
-from heckeverify.rootsystem import parse_type, build
+from heckeverify.rootsystem import RootSystemError, parse_type, build
 from heckeverify.weyl import (
     WeylBudgetError, WeylElement, enumerate_group, poincare,
-    poincare_vanishes, vanishes_by_degrees, valid_orders, irr_count,
-    conjugacy_class_count, conjugation_table, cyclotomic,
+    poincare_vanishes, valid_orders, irr_count,
+    conjugacy_class_count, conjugation_table,
 )
 from heckeverify.partitions import p, ordered_pairs, typeD_count
 
 
 def rs_of(name):
     return build(parse_type(name))
+
+
+# every type whose root system the default sweep builds
+PLAN_TYPES = [f"A{n}" for n in range(1, 10)] + \
+    [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 8)] + \
+    [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8", "F4", "G2"]
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +181,61 @@ def test_vanishing_infinite_order():
         poincare_vanishes(rs_of("B2"), 1)
 
 
-ALL_SMALL = ["A1", "A2", "A3", "A5", "B2", "B3", "B5", "C3", "C4", "D4",
-             "D5", "D6", "E6", "E7", "E8", "F4", "G2"]
+# the division oracle: exact long division by the cyclotomic polynomial
 
 
-@pytest.mark.parametrize("name", ALL_SMALL)
+def _poly_divmod(num, den):
+    """Long division of integer polynomials: (quotient, remainder).  Every
+    quotient coefficient must be an integer; the remainder keeps num's
+    length, zero above the divisor's degree."""
+    num = list(num)
+    dd = len(den) - 1
+    lead = den[-1]
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c == 0:
+            continue
+        assert c % lead == 0
+        q = c // lead
+        out[i - dd] = q
+        for k, y in enumerate(den):
+            num[i - dd + k] -= q * y
+    return out, num
+
+
+def cyclotomic(m):
+    """Coefficients of the m-th cyclotomic polynomial, ascending."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rem = _poly_divmod(poly, cyclotomic(d))
+            assert not any(rem), "division was not exact"
+    return tuple(poly)
+
+
+def vanishes_by_division(rs, m):
+    """Whether the m-th cyclotomic polynomial divides the Poincare
+    polynomial built from the degrees."""
+    return not any(_poly_divmod(poincare(rs), cyclotomic(m))[1])
+
+
+def vanishes_numerically(rs, m):
+    """|P_W(zeta)|, relative to P_W(1) = |W|, below 1e-12 at zeta =
+    exp(2 pi i / m).  Over the plan's types and m = 2..60 the vanishing
+    values stay below 2e-16 and the others above 4e-8."""
+    z = cmath.exp(2j * cmath.pi / m)
+    pc = poincare(rs)
+    return abs(sum(c * z ** k for k, c in enumerate(pc))) < 1e-12 * sum(pc)
+
+
+@pytest.mark.parametrize("name", PLAN_TYPES)
 def test_vanishing_three_ways(name):
     rs = rs_of(name)
     for m in range(2, 61):
-        by_poly = poincare_vanishes(rs, m)
-        by_deg = vanishes_by_degrees(rs, m)
-        assert by_poly == by_deg, (name, m)
+        by_deg = poincare_vanishes(rs, m)
+        assert by_deg == vanishes_by_division(rs, m), (name, m)
+        assert by_deg == vanishes_numerically(rs, m), (name, m)
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])
@@ -193,7 +245,7 @@ def test_memoised_vanishing_agrees_with_degrees(name):
     for m in range(2, 32):
         first = poincare_vanishes(rs, m)
         assert poincare_vanishes(rs, m) is first
-        assert first == vanishes_by_degrees(rs, m), (name, m)
+        assert first == vanishes_by_division(rs, m), (name, m)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
@@ -308,6 +360,37 @@ def test_root_combination_tables_match_a_loop(name):
                     for i in range(rs.rank) for j, c in enumerate(cb))
             want = rs.index[tuple(x - k * y for x, y in zip(a, beta))]
             assert refl[b, r] == want, (name, beta, a)
+
+
+@pytest.mark.parametrize("name", PLAN_TYPES)
+def test_root_codes_look_up_every_root(name):
+    rs = rs_of(name)
+    assert weyl._root_ids(rs, rs.roots).tolist() == list(range(len(rs.all_roots)))
+    with pytest.raises(AssertionError, match="not a root"):
+        weyl._root_ids(rs, 2 * rs.roots[:1])
+
+
+@pytest.mark.parametrize("name,drop", [("G2", -1), ("E6", 3)])
+def test_reflection_table_check_names_a_broken_root(monkeypatch, name, drop):
+    # a height level left out leaves its rows unset; the involution check
+    # names the first root whose row is not a reflection
+    t = parse_type(name)
+    levels = weyl._height_steps(t)
+    broken = levels[drop][0].tolist()
+    monkeypatch.setattr(weyl, "_height_steps",
+                        lambda t: [lv for k, lv in enumerate(levels)
+                                   if k != drop % len(levels)])
+    root = rs_of(name).positive_roots[min(broken)]
+    with pytest.raises(AssertionError,
+                       match=rf"s_{re.escape(str(root))} is not a reflection"):
+        weyl._reflection_table.__wrapped__(t)
+
+
+def test_root_codes_past_int64_are_a_refusal():
+    # A63's codes need 2^63: the reflection table is refused, not wrong
+    assert weyl._root_ids(rs_of("A62"), rs_of("A62").roots[-1:]).tolist() == [3905]
+    with pytest.raises(RootSystemError, match="overflow int64"):
+        weyl._reflection_table(parse_type("A63"))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
