@@ -141,8 +141,8 @@ class ExtAffine:
         # (w, x)(w', x') = (ww', w'^{-1}(x) + x'), where
         # <w'^{-1}(x), a_j^vee> = <x, w'(a_j)^vee>
         rs, perm, x = o.w.rs, o.w.perm, self.x
-        pre = (sum(a * c for a, c in zip(x, rs.coroots[perm[rs.index[s]]]))
-               for s in rs.simples)
+        pre = (sum(a * c for a, c in zip(x, rs.coroots[perm[s]]))
+               for s in rs.simple_ids)
         return ExtAffine(self.w * o.w, tuple(a + b for a, b in zip(pre, o.x)))
 
     def inverse(self) -> "ExtAffine":
@@ -164,11 +164,10 @@ def ext_translation(rs, x) -> ExtAffine:
 def _length(elem: ExtAffine) -> int:
     """Sum over positive roots of |<x,a^>+1| or |<x,a^>| by the sign of w(a)."""
     rs, perm, x = elem.w.rs, elem.w.perm, elem.x
-    npos = len(rs.positive_roots)
     tot = 0
-    for k in range(npos):
+    for k in range(rs.npos):
         pair = sum(a * c for a, c in zip(x, rs.coroots[k]))
-        tot += abs(pair + 1) if perm[k] >= npos else abs(pair)
+        tot += abs(pair + 1) if perm[k] >= rs.npos else abs(pair)
     return tot
 
 
@@ -194,16 +193,14 @@ class _Interned:
         # what descends and _neighbour read: walls[i] is the root index of
         # beta (i = 0) or of alpha_i, gens[i] the finite id of r_i's finite
         # part, and weights[r] root r in weight coordinates
-        self.npos = len(rs.positive_roots)
+        self.npos = rs.npos
         self.coroots = rs.coroots
-        self.simples = [rs.index[a] for a in rs.simples]
-        roots = [highest_short_root(rs), *rs.simples]
-        self.walls = [rs.index[r] for r in roots]
+        self.walls = [rs.index[highest_short_root(rs)], *rs.simple_ids]
         self.weights = list(map(tuple, rs.pairings.tolist()))
         self.identity = self._add(
             (self.finite(tuple(range(2 * self.npos))), (0,) * rs.rank), 0)
-        self.gens = [self.finite(WeylElement.reflection(rs, r).perm)
-                     for r in roots]
+        self.gens = [self.finite(WeylElement.reflection(rs, rs.all_roots[w]).perm)
+                     for w in self.walls]
 
     def finite(self, perm) -> int:
         """The id of the finite part with root permutation perm."""
@@ -322,7 +319,7 @@ class _Interned:
             (f, x), (h, y) = self.codes[k], self.codes[m]
             perm = self.perms[h]
             pre = (sum(map(mul, x, self.coroots[perm[s]]))
-                   for s in self.simples)
+                   for s in self.rs.simple_ids)
             got = self.products[(k, m)] = self._add(
                 (self.fmul(f, h), tuple(map(add, pre, y))), lk + lm)
         return got
@@ -409,14 +406,12 @@ def omega_group(rstype):
     rs = build(rstype)
     target = rs.center_order()
     g = _interned(rstype)
-    npos = len(rs.positive_roots)
     out = [ext_identity(rs)]
     if target > 1:
         for w in enumerate_group(rs):
             if w.is_identity():
                 continue
-            x = tuple(0 if w.perm[rs.index[a]] < npos else -1
-                      for a in rs.simples)
+            x = tuple(0 if w.perm[a] < rs.npos else -1 for a in rs.simple_ids)
             # the test alone: length() would intern every candidate
             if not g.descends(w.perm, x, 0, False):
                 out.append(ExtAffine(w, x))

@@ -38,7 +38,7 @@ import numpy as np
 from . import cases, report
 from .rootsystem import (RootSystem, build, component_labels, components,
                          parse_type, smith, structure_constants)
-from .torus import TorusPoint, standard_point, roots_with_exponent
+from .torus import TorusPoint, _exponent_ids, standard_point
 from .weyl import poincare_vanishes, valid_orders
 
 
@@ -108,25 +108,26 @@ def build_nqs(rs: RootSystem, s: TorusPoint, sc=None) -> NilModule:
     why = _order_refusal(rs, s.order)
     if why:
         raise NilOrbitError(why)
-    basis = tuple(roots_with_exponent(rs, s, 1))
-    gens = tuple(roots_with_exponent(rs, s, 0))
-    index = {r: k for k, r in enumerate(basis)}
-    assert not index.keys() & set(gens)
-    if sc is None and gens:
+    basis_ids, gen_ids = _exponent_ids(rs, s, 1), _exponent_ids(rs, s, 0)
+    where = np.full(len(rs.roots), -1)      # root id -> place in the basis
+    where[basis_ids] = np.arange(basis_ids.size)
+    assert (where[gen_ids] < 0).all()
+    if sc is None and gen_ids.size:
         sc = structure_constants(rs.rstype)
-    bracket = []
-    for gamma in gens:
-        row = []
-        for beta in basis:
-            summed = tuple(x + y for x, y in zip(beta, gamma))
-            hit = None
-            if rs.is_root(summed):
-                assert summed in index, "eigenspace not closed under the action"
-                hit = (index[summed], sc.n(gamma, beta))
-            row.append(hit)
-        bracket.append(tuple(row))
-    weights = tuple(map(tuple, rs.pairings[[rs.index[b] for b in basis]].tolist()))
-    return NilModule(rs, s, basis, weights, gens, tuple(bracket))
+    # targets[g, j]: the id of gamma_g + beta_j, -1 if that is not a root
+    targets = rs.sums[gen_ids[:, None], basis_ids]
+    places = where[targets]
+    assert (places[targets >= 0] >= 0).all(), \
+        "eigenspace not closed under the action"
+    bracket = tuple(
+        tuple((k, sc.n_ids(g, b)) if t >= 0 else None
+              for b, t, k in zip(basis_ids.tolist(), trow, krow))
+        for g, trow, krow in zip(gen_ids.tolist(), targets.tolist(),
+                                 places.tolist()))
+    basis = tuple(rs.all_roots[i] for i in basis_ids.tolist())
+    gens = tuple(rs.all_roots[i] for i in gen_ids.tolist())
+    weights = tuple(map(tuple, rs.pairings[basis_ids].tolist()))
+    return NilModule(rs, s, basis, weights, gens, bracket)
 
 
 def decompose(nm: NilModule):

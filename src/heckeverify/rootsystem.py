@@ -9,9 +9,13 @@ table is the one source of these pairings for roots: the reflection
 table (weyl) and the torus weights (nilorbits, hecke) read it, and the
 positive-root closure carries the same numbers up each height.
 pairing() computes the number for vectors that are not roots.  The
-twice-norms and the coroots are whole-array steps on roots too.  The module also carries the standard numerology (degrees,
-exponents, center order), epsilon-coordinate views for the classical families
-and F4, and Chevalley structure constants with a documented sign convention.
+twice-norms and the coroots are whole-array steps on roots too.
+ids(vecs) and sums are the one lookup from coordinates to root ids: a
+root's id is its row in roots, the negative of root i is root i +- npos,
+and -1 stands for no root; sums[i, j] is the id of root i + root j.  The module also carries the
+standard numerology (degrees, exponents, center order), epsilon-coordinate
+views for the classical families and F4, and Chevalley structure constants
+with a documented sign convention.
 
 The two exact integer eliminations live here too.  smith gives the center
 order, the torus classes on each support pattern of an eigenspace
@@ -263,9 +267,9 @@ def smith(mat):
 
 
 def _exact_div(num, den):
-    """num / den for integers that must divide exactly."""
+    """num / den for integers that must divide exactly, as a Python int."""
     assert num % den == 0, (num, den)
-    return num // den
+    return int(num // den)
 
 
 _EDGE_CHUNK = 1 << 20
@@ -328,6 +332,9 @@ class RootSystem:
         self.simples = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
         self.degrees = degrees_of(rstype)
         self.positive_roots = self._enumerate_positive()
+        self.npos = len(self.positive_roots)
+        # ids of alpha_1, ..., alpha_n: height one is sorted lexicographically
+        self.simple_ids = tuple(range(self.rank - 1, -1, -1))
         # every root as an int row, the positive ones first and then their
         # negatives in the same order, and the one pairing table:
         # pairings[k, j] = <roots[k], alpha_j^vee>
@@ -340,9 +347,8 @@ class RootSystem:
         self.highest_root = self.positive_roots[-1]
         self.twice_epsilon_view = _twice_epsilon_view(rstype)
         # 2(r, r) for every root, an integer: one product with twice the form
-        twice = ((self.roots @ np.array(self._bil2, dtype=np.int64))
-                 * self.roots).sum(axis=1)
-        self._twice_norm2 = dict(zip(self.all_roots, twice.tolist()))
+        self.twice_norms = ((self.roots @ np.array(self._bil2, dtype=np.int64))
+                            * self.roots).sum(axis=1)
 
     # -- construction -------------------------------------------------------
 
@@ -401,16 +407,49 @@ class RootSystem:
 
     def _validate_counts(self):
         expected = sum(d - 1 for d in self.degrees)
-        if len(self.positive_roots) != expected:
+        if self.npos != expected:
             # a wrong enumeration, not an input refused
             raise AssertionError(
-                f"{self.rstype}: enumerated {len(self.positive_roots)} positive roots, "
+                f"{self.rstype}: enumerated {self.npos} positive roots, "
                 f"degree table demands {expected}")
 
     # -- basic queries -------------------------------------------------------
 
     def is_root(self, coords) -> bool:
         return tuple(coords) in self.index
+
+    @cached_property
+    def _codes(self):
+        """(weights, codes, order): a root's code is its coordinates as
+        digits in the mixed radix t_i + 1, t the highest root, and order
+        sorts the codes.  Codes add as roots do and are distinct (same-sign
+        roots differ by under a radix per digit; positive minus negative
+        has no negative digit).  Past 2^63 (A63 and up) they are refused."""
+        radix = np.array(self.highest_root, dtype=np.int64) + 1
+        if prod(radix.tolist()) >= 2 ** 63:
+            raise RootSystemError(f"{self.rstype}: root codes overflow int64")
+        weights = np.concatenate([[1], np.cumprod(radix[:-1])])
+        codes = self.roots @ weights
+        return weights, codes, np.argsort(codes)
+
+    def ids(self, vecs):
+        """Each integer row's id (any leading shape), -1 for a non-root: a
+        code hit counts only if its coordinates equal the row."""
+        vecs = np.asarray(vecs, dtype=np.int64)
+        weights, codes, order = self._codes
+        at = np.searchsorted(codes[order], vecs @ weights)
+        at = order[at.clip(max=order.size - 1)]
+        return np.where((self.roots[at] == vecs).all(axis=-1), at, -1)
+
+    @cached_property
+    def sums(self):
+        """sums[i, j] = the id of root i + root j, -1 where that is not a
+        root (int16): ids of the pairs whose code sum is a root's code."""
+        codes = self._codes[1]
+        i, j = np.nonzero(np.isin(codes[:, None] + codes, codes))
+        out = np.full((codes.size, codes.size), -1, dtype=np.int16)
+        out[i, j] = self.ids(self.roots[i] + self.roots[j])
+        return out
 
     def height(self, root) -> int:
         return sum(root)
@@ -424,9 +463,8 @@ class RootSystem:
 
     def twice_norm2(self, root) -> int:
         """2(root, root); looked up for roots, computed for other vectors."""
-        root = tuple(root)
-        n2 = self._twice_norm2.get(root)
-        return self._twice_form(root) if n2 is None else n2
+        k = self.index.get(tuple(root))
+        return self._twice_form(root) if k is None else int(self.twice_norms[k])
 
     def norm2(self, root) -> Fraction:
         """(root, root) in the fixed normalization."""
@@ -470,9 +508,8 @@ class RootSystem:
     def coroots(self):
         """coroots[k] = coroot_coords(all_roots[k]): the one coroot table,
         built on first use, for all roots in one exact division."""
-        twice = np.array(list(self._twice_norm2.values()), dtype=np.int64)
         num = self.roots * np.diag(np.array(self._bil2, dtype=np.int64))
-        coroots, rem = np.divmod(num, twice[:, None])
+        coroots, rem = np.divmod(num, self.twice_norms[:, None])
         assert not rem.any(), self.rstype
         return tuple(map(tuple, coroots.tolist()))
 
@@ -556,9 +593,9 @@ class StructureConstants:
                                  -N(-xi,a) N(a-xi,b) - N(b,-xi) N(b-xi,a)
 
     Only the constants on pairs of positive roots are stored (pos, built by
-    the second identity); n() derives the rest when asked, by
-    N(-a,-b) = -N(a,b), antisymmetry and the first identity, in integers.
-    The whole signed table, .table, is collected from n() on first use.
+    the second identity); n_ids() derives the rest over root ids when asked,
+    by N(-a,-b) = -N(a,b), antisymmetry and the first identity, in integers.
+    The whole signed table, .table, is collected from it on first use.
 
     The 'twisted' convention rescales e_{+-a} by (-1)^(a_1 a_2), another valid
     Chevalley basis; downstream orbit counts must not depend on the choice.
@@ -567,7 +604,7 @@ class StructureConstants:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.convention = "extraspecial"
-        self.pos = self._positive_table()
+        self._pos = self._positive_table()      # over positive-root ids
 
     def twisted(self) -> "StructureConstants":
         """The same basis rescaled to the twisted convention: n() applies
@@ -584,60 +621,65 @@ class StructureConstants:
         return -1 if (root[0] * root[1]) % 2 else 1
 
     def n(self, a, b) -> int:
-        """N(a,b); zero when a+b is not a root."""
-        total = tuple(x + y for x, y in zip(a, b))
-        if total not in self.rs.index:
+        """N(a,b) for roots a and b given as coordinate tuples."""
+        return self.n_ids(self.rs.index[a], self.rs.index[b])
+
+    def n_ids(self, a, b) -> int:
+        """N(a,b) for root ids a and b; zero when a+b is not a root."""
+        total = int(self.rs.sums[a, b])
+        if total < 0:
             return 0
         val = self._untwisted(a, b, total)
         if self.convention == "twisted":
-            chi = self._chi
-            val *= chi(a) * chi(b) * chi(total)
+            roots, chi = self.rs.all_roots, self._chi
+            val *= chi(roots[a]) * chi(roots[b]) * chi(roots[total])
         return val
 
     def _untwisted(self, a, b, total) -> int:
-        pos, twice = self.pos, self.rs._twice_norm2
-        a_pos, b_pos = sum(a) > 0, sum(b) > 0
-        if a_pos and b_pos:
+        npos, pos, twice = self.rs.npos, self._pos, self.rs.twice_norms
+        if a < npos and b < npos:
             return pos[(a, b)]
-        if not a_pos and not b_pos:
-            return -pos[(tuple(-x for x in a), tuple(-x for x in b))]
-        if not a_pos:
+        if a >= npos and b >= npos:
+            return -pos[(a - npos, b - npos)]
+        if a >= npos:
             return -self._untwisted(b, a, total)
         # a > 0 > b: with nb = -b, the roots a, -nb, -total sum to zero
-        nb = tuple(-x for x in b)
-        if sum(total) > 0:
+        nb = b - npos
+        if total < npos:
             # (nb, total) positive, summing to a
             return _exact_div(-pos[(nb, total)] * twice[total], twice[a])
         # (-total, a) positive, summing to nb
-        nu = tuple(-x for x in total)
+        nu = total - npos
         return _exact_div(pos[(nu, a)] * twice[nu], twice[nb])
+
+    @cached_property
+    def pos(self):
+        """{(a, b): N(a,b)} over pairs of positive roots, as tuples."""
+        roots = self.rs.all_roots
+        return {(roots[a], roots[b]): v for (a, b), v in self._pos.items()}
 
     @cached_property
     def table(self):
         """{(a, b): N(a,b)} over every pair of roots with a+b a root."""
-        roots, n = self.rs.all_roots, self.n
-        return {(a, b): v for a in roots for b in roots if (v := n(a, b))}
+        roots, n = self.rs.all_roots, self.n_ids
+        a, b = np.nonzero(self.rs.sums >= 0)
+        return {(roots[i], roots[j]): n(i, j)
+                for i, j in zip(a.tolist(), b.tolist())}
 
     def string_down(self, a, b) -> int:
-        """Largest k with b - k a a root (a, b roots, b != +-a)."""
-        rs, k = self.rs, 0
-        probe = list(b)
-        while True:
-            probe2 = tuple(x - y for x, y in zip(probe, a))
-            if probe2 in rs.index:
-                probe, k = list(probe2), k + 1
-            else:
-                return k
+        """Largest k with b - k a a root, for root ids a, b: a walk in sums."""
+        sums, k = self.rs.sums, 0
+        while (b := sums[b, (a + self.rs.npos) % len(sums)]) >= 0:
+            k += 1
+        return k
 
     def _positive_table(self):
-        """pos, built over positive-root ids: the decompositions
-        gamma = a + b come from one table of code differences, and each
-        non-simple gamma's are walked in height order."""
+        """pos over positive-root ids: the decompositions
+        gamma = a + b come from the root-sum table, and each non-simple
+        gamma's are walked in height order."""
         rs = self.rs
-        roots = rs.positive_roots
-        twice = [rs._twice_norm2[r] for r in roots]
+        roots, twice = rs.positive_roots, rs.twice_norms.tolist()
         minus, splits = _positive_decompositions(rs)
-        simple_ids = [rs.index[s] for s in rs.simples]    # alpha_1 first
         n = {}
 
         def mixed_neg_simple(xi, a, mu):
@@ -648,13 +690,13 @@ class StructureConstants:
             "a non-simple positive root with no decomposition"
         for gamma, pairs in splits:
             # the extraspecial pair: xi the least simple root with gamma - xi
-            # a positive root
-            xi = next((s for s in simple_ids if minus[gamma][s] >= 0), None)
+            # a positive root (simple_ids lists alpha_1 first)
+            xi = next((s for s in rs.simple_ids if minus[gamma][s] >= 0), None)
             if xi is None:
                 raise AssertionError(
                     "positive non-simple root with no simple summand")
             eta = minus[gamma][xi]
-            p = self.string_down(roots[xi], roots[eta])
+            p = self.string_down(xi, eta)
             n[(xi, eta)] = p + 1
             n[(eta, xi)] = -(p + 1)
             n_gamma_negxi = _exact_div(-(p + 1) * twice[eta], twice[gamma])
@@ -671,36 +713,23 @@ class StructureConstants:
                 if bmx >= 0:
                     acc -= mixed_neg_simple(xi, b, bmx) * n[(bmx, a)]
                 nval = _exact_div(-acc, n_gamma_negxi)
-                expect = self.string_down(roots[a], roots[b]) + 1
+                expect = self.string_down(a, b) + 1
                 assert abs(nval) == expect, (roots[gamma], roots[a],
                                              roots[b], nval, expect)
                 n[(a, b)] = nval
                 n[(b, a)] = -nval
-        return {(roots[a], roots[b]): v for (a, b), v in n.items()}
+        return n
 
 
 def _positive_decompositions(rs: RootSystem):
     """Every decomposition gamma = a + b into positive roots, over ids in
     rs.positive_roots (ordered by height).
 
-    Returns (minus, splits): minus[g][a] is the id of g - a, -1 where it
-    is not a positive root; splits lists (gamma, [(a, b), ...]) for each
-    non-simple gamma in id order, with a ascending.  A root's code is its coordinates read as digits in
-    base 2t+1, t its largest coordinate: a difference of two positive roots
-    less a third has every digit in [-2t, t], so codes subtract exactly
-    when roots do, and code(g) - code(a) is a root's code only when g - a
-    is that root."""
-    roots = np.array(rs.positive_roots, dtype=np.int64)
-    count, rank = roots.shape
-    base = 2 * max(rs.highest_root) + 1
-    if base ** rank >= 2 ** 62:
-        raise RootSystemError(
-            f"{rs.rstype}: root codes in base {base} overflow int64")
-    code = roots @ base ** np.arange(rank, dtype=np.int64)
-    order = np.argsort(code)
-    diff = code[:, None] - code[None, :]
-    at = order[np.searchsorted(code[order], diff).clip(max=count - 1)]
-    minus = np.where(code[at] == diff, at, -1)
+    Returns (minus, splits): minus[g][a] is the id of g - a = g + (-a),
+    -1 where it is not a positive root; splits lists (gamma, [(a, b), ...])
+    for each non-simple gamma in id order, with a ascending."""
+    diff = rs.sums[:rs.npos, rs.npos:]
+    minus = np.where(diff < rs.npos, diff, -1)
     g, a = np.nonzero(minus >= 0)        # ascending g, then ascending a
     b = minus[g, a]
     cuts = np.flatnonzero(np.diff(g)) + 1

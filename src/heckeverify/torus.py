@@ -191,37 +191,45 @@ def central_twist(point: TorusPoint, z) -> TorusPoint:
 # exponent classes and centralizer subsystems
 
 
-def roots_with_exponent(rs: RootSystem, s: TorusPoint, k):
-    """All roots alpha with alpha(s) = q^k, in the deterministic order of
-    rs.all_roots.  At generic q, roots whose value is not a power of q
-    never match.
+def _exponent_ids(rs: RootSystem, s: TorusPoint, k):
+    """The ids of the roots alpha with alpha(s) = q^k, ascending.
 
     Decided on integers: with <alpha, vq> = val/den (s._simple_q) and
     k = kn/kd, alpha(s) = q^k iff val*kd - kn*den is zero, or at finite
-    order m a multiple of m*den*kd."""
-    nums, den = s._simple_q
+    order m a multiple of m*den*kd.  Each step is one product over the
+    root array, in int64 while every input is below 2^20."""
+    (nums, den), (tnums, tden) = s._simple_q, s._simple_tor
     k = Fraction(k)
     kd, want = k.denominator, k.numerator * den
-    if s.order is None:
-        tnums, tden = s._simple_tor
-        return [r for r in rs.all_roots
-                if sum(map(mul, r, nums)) * kd == want
-                and sum(map(mul, r, tnums)) % tden == 0]
-    mod = s.order * den * kd
-    return [r for r in rs.all_roots
-            if (sum(map(mul, r, nums)) * kd - want) % mod == 0]
+    mod = s.order * den * kd if s.order else 1
+    big = max(map(abs, (*nums, *tnums, tden, kd, want, mod))) >= 2 ** 20
+    roots = rs.roots.astype(object) if big else rs.roots
+    vals = roots @ np.array(nums, dtype=roots.dtype) * kd - want
+    if s.order:
+        return np.flatnonzero(vals % mod == 0)
+    tvals = roots @ np.array(tnums, dtype=roots.dtype)
+    return np.flatnonzero((vals == 0) & (tvals % tden == 0))
+
+
+def roots_with_exponent(rs: RootSystem, s: TorusPoint, k):
+    """All roots alpha with alpha(s) = q^k, in the deterministic order of
+    rs.all_roots.  At generic q, roots whose value is not a power of q
+    never match."""
+    return [rs.all_roots[i] for i in _exponent_ids(rs, s, k).tolist()]
+
+
+def _centralizer_ids(rs: RootSystem, s: TorusPoint):
+    """centralizer_roots as root ids."""
+    ids = _exponent_ids(rs, s, 0)
+    sums = rs.sums[ids[:, None], ids]
+    assert set(sums[sums >= 0].tolist()) <= set(ids.tolist()), \
+        "centralizer set not closed"
+    return ids
 
 
 def centralizer_roots(rs: RootSystem, s: TorusPoint):
     """Roots alpha with alpha(s) = 1; checked to be a closed subsystem."""
-    roots = roots_with_exponent(rs, s, 0)
-    have = set(roots)
-    for a in roots:
-        for b in roots:
-            summed = tuple(x + y for x, y in zip(a, b))
-            if rs.is_root(summed):
-                assert summed in have, "centralizer set not closed"
-    return roots
+    return [rs.all_roots[i] for i in _centralizer_ids(rs, s).tolist()]
 
 
 @dataclass(frozen=True)
@@ -271,37 +279,24 @@ def _component_family(rank, count, norms):
 
 
 def centralizer_signature(rs: RootSystem, s: TorusPoint) -> SubsystemSignature:
-    roots = centralizer_roots(rs, s)
-    if not roots:
+    ids = _centralizer_ids(rs, s)
+    if not ids.size:
         return SubsystemSignature(())
-    # components of the non-orthogonality graph are the irreducible pieces
-    def linked(a, b):
-        # <a, b^vee> != 0 iff (a,b) != 0
-        cb = rs.coroots[rs.index[b]]
-        return sum(ca * sum(rs.cartan[k][l] * cb[l] for l in range(rs.rank))
-                   for k, ca in enumerate(a) if ca) != 0
-
-    edges = [(i, j) for i in range(len(roots))
-             for j in range(i + 1, len(roots)) if linked(roots[i], roots[j])]
+    # components of the non-orthogonality graph are the irreducible pieces:
+    # <a, b^vee> = pairings[a] . coroots[b] is nonzero iff (a, b) is
+    linked = rs.pairings[ids] @ np.array([rs.coroots[i] for i in ids]).T
     maxnorm = rs.twice_norm2(rs.highest_root)      # the highest root is long
     comps = []
-    for group in components(len(roots), edges):
-        members = [roots[i] for i in group]
-        pos = [r for r in members if any(c > 0 for c in r) and all(c >= 0 for c in r)]
-        pos_set = set(pos)
-        simples = []
-        for a in pos:
-            decomposable = any(
-                tuple(x - y for x, y in zip(a, b)) in pos_set
-                for b in pos_set if b != a)
-            if not decomposable:
-                simples.append(a)
-        rank = len(simples)
-        norms = [rs.twice_norm2(r) for r in members]
+    for group in components(len(ids), np.argwhere(np.triu(linked, 1))):
+        members = ids[group]
+        # its simple roots: the positive members not a sum of two of them
+        pos = members[members < rs.npos]
+        made = rs.sums[pos[:, None], pos].ravel().tolist()
+        rank = len(set(pos.tolist()) - set(made))
+        norms = rs.twice_norms[members].tolist()
         fam, rk = _component_family(rank, len(members), norms)
-        nl = sum(1 for x in norms if x == maxnorm)
-        ns = len(norms) - nl
-        comps.append((fam, rk, len(members), nl, ns))
+        nl = norms.count(maxnorm)
+        comps.append((fam, rk, len(members), nl, len(norms) - nl))
     return SubsystemSignature(tuple(sorted(comps)))
 
 

@@ -63,12 +63,11 @@ built for one class count and not kept.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 
 import numpy as np
 
 from .partitions import p, ordered_pairs, typeD_count
-from .rootsystem import RootSystem, RootSystemError, build, component_labels
+from .rootsystem import RootSystem, build, component_labels
 
 __all__ = [
     "WeylBudgetError", "WeylElement", "GroupEnumeration", "enumerate_group",
@@ -158,27 +157,26 @@ class WeylElement:
         a row of the coroot table (integers in, integers out)."""
         rs = self.rs
         inv = self.inverse().perm
-        return tuple(sum(a * c for a, c in zip(x, rs.coroots[inv[rs.index[s]]]))
-                     for s in rs.simples)
+        return tuple(sum(a * c for a, c in zip(x, rs.coroots[inv[s]]))
+                     for s in rs.simple_ids)
 
     def is_identity(self) -> bool:
         return self.perm == tuple(range(len(self.perm)))
 
     def length(self) -> int:
         """The number of positive roots sent to negative ones."""
-        npos = len(self.rs.positive_roots)
+        npos = self.rs.npos
         return sum(1 for s in self.perm[:npos] if s >= npos)
 
     def word(self):
         """A reduced word (list of simple-reflection indices): peel off the
         least right descent, once per unit of length."""
         rs = self.rs
-        npos = len(rs.positive_roots)
         w = self
         tail = []
         for _ in range(self.length()):
-            j = next(j for j, a in enumerate(rs.simples)
-                     if w.perm[rs.index[a]] >= npos)
+            j = next(j for j, a in enumerate(rs.simple_ids)
+                     if w.perm[a] >= rs.npos)
             tail.append(j)
             w = w * WeylElement.simple(rs, j)
         return tail[::-1]
@@ -208,27 +206,6 @@ class WeylElement:
 # numpy engine
 
 
-def _root_ids(rs: RootSystem, vecs):
-    """rs.index of every row of an int array of roots (any leading shape),
-    by one searchsorted over the root codes.
-
-    A root's code is its coordinates read as digits in the mixed radix
-    t_i + 1, t the highest root.  Distinct roots get distinct codes: the
-    difference of two roots of one sign has every digit smaller than its
-    radix in size, and the difference of a positive and a negative root
-    is a nonzero vector with no negative coordinate."""
-    radix = np.array(rs.highest_root, dtype=np.int64) + 1
-    if prod(radix.tolist()) >= 2 ** 63:
-        raise RootSystemError(f"{rs.rstype}: root codes overflow int64")
-    weights = np.concatenate([[1], np.cumprod(radix[:-1])])
-    codes = rs.roots @ weights
-    order = np.argsort(codes)
-    want = vecs @ weights
-    at = np.searchsorted(codes[order], want).clip(max=len(codes) - 1)
-    assert (codes[order[at]] == want).all(), f"a vector is not a root of {rs.rstype}"
-    return order[at]
-
-
 @lru_cache(maxsize=None)
 def _height_steps(rstype):
     """One (b, a, b') triple of root-index arrays per height above one, in
@@ -236,14 +213,14 @@ def _height_steps(rstype):
     <b, alpha_t^vee> > 0 (the least such t is taken), so b' = s_t(b) is
     lower."""
     rs = build(rstype)
-    npos = len(rs.positive_roots)
+    npos = rs.npos
     b = np.arange(npos)
     pair = rs.pairings[:npos]
     t = np.argmax(pair > 0, axis=1)
     lower = rs.roots[:npos].copy()
     lower[b, t] -= pair[b, t]
-    a = np.array([rs.index[s] for s in rs.simples])[t]
-    b2 = _root_ids(rs, lower)
+    a = np.array(rs.simple_ids)[t]
+    b2 = rs.ids(lower)
     height = rs.roots[:npos].sum(axis=1)
     bounds = np.searchsorted(height, np.arange(2, height[-1] + 2)).tolist()
     return [(b[lo:hi], a[lo:hi], b2[lo:hi])
@@ -255,15 +232,15 @@ def _reflection_table(rstype):
     """refl[b, r] = root index of s_b(r), for every pair of roots (int16).
 
     The simple rows are s_j(r) = r - <r, alpha_j^vee> alpha_j, read off the
-    pairing table and looked up in one code search.  The others are built
+    pairing table and looked up by one call of rs.ids.  The others are built
     up the heights, one gather per height: for b, a = alpha_t and
     b' = s_t(b) from _height_steps, s_b = s_t s_b' s_t; and s_-b = s_b."""
     rs = build(rstype)
-    npos, rank = len(rs.positive_roots), rs.rank
+    npos, rank = rs.npos, rs.rank
     refl = np.full((2 * npos, 2 * npos), -1, dtype=np.int16)
     images = (rs.roots[None] - rs.pairings.T[:, :, None]
               * np.eye(rank, dtype=np.int64)[:, None, :])
-    refl[[rs.index[a] for a in rs.simples]] = _root_ids(rs, images)
+    refl[list(rs.simple_ids)] = rs.ids(images)
     for b, a, b2 in _height_steps(rstype):
         st = refl[a]
         rows = np.arange(b.size)[:, None]
@@ -283,9 +260,9 @@ def _whole_perms(rs: RootSystem, rows):
     simple columns are the rows, each higher positive root is filled by one
     reflection-table gather per height, w(b) = w(s_t(b')) =
     s_{w(alpha_t)}(w(b')) for _height_steps' triples, and w(-b) = -w(b)."""
-    npos = len(rs.positive_roots)
+    npos = rs.npos
     perm = np.empty((rows.shape[0], 2 * npos), dtype=np.int16)
-    perm[:, [rs.index[a] for a in rs.simples]] = rows
+    perm[:, list(rs.simple_ids)] = rows
     refl = _reflection_table(rs.rstype)
     for b, a, b2 in _height_steps(rs.rstype):
         perm[:, b] = refl[perm[:, a], perm[:, b2]]
@@ -369,8 +346,8 @@ def enumerate_group(rs: RootSystem) -> GroupEnumeration:
     if cached is not None:
         return cached
 
-    npos = len(rs.positive_roots)     # root indices below npos are positive
-    frontier = np.array([[rs.index[a] for a in rs.simples]], dtype=np.int16)
+    npos = rs.npos                    # root indices below npos are positive
+    frontier = np.array([rs.simple_ids], dtype=np.int16)
     layers, parents, descents = [frontier], [np.array([-1])], [np.array([-1])]
     start = 0                         # the row of frontier[0]
     while frontier.shape[0]:
@@ -486,7 +463,7 @@ def right_multiplication_table(group: GroupEnumeration):
     gathers alone (see the module docstring)."""
     rs = group.rs
     n = len(group)
-    npos = len(rs.positive_roots)
+    npos = rs.npos
     cox = _coxeter_matrix(rs)
     orders = sorted(set(cox.ravel().tolist()) - {1})
     right = np.full((rs.rank, n), -1, dtype=np.int32)

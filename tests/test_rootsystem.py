@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add, sub
 
+import numpy as np
 import pytest
 
 from heckeverify import rootsystem
@@ -15,6 +17,9 @@ from heckeverify.rootsystem import (
 
 ALL_SMALL = ["A1", "A2", "A3", "B2", "B3", "C3", "C4", "D4", "D5", "F4", "G2"]
 ALL_TYPES = ALL_SMALL + ["A7", "B6", "D7", "E6", "E7", "E8"]
+PLAN_TYPES = [f"A{n}" for n in range(1, 10)] + \
+    [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 8)] + \
+    [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8", "F4", "G2"]
 
 
 def test_parse_and_validate():
@@ -397,7 +402,7 @@ def test_constant_magnitudes_and_antisymmetry(t):
     sc = structure_constants(parse_type(t))
     for (a, b), v in sc.table.items():
         assert v == -sc.table[(b, a)]
-        assert abs(v) == sc.string_down(a, b) + 1
+        assert abs(v) == sc.string_down(rs.index[a], rs.index[b]) + 1
         na = tuple(-c for c in a)
         nb = tuple(-c for c in b)
         assert sc.table[(na, nb)] == -v
@@ -524,6 +529,61 @@ def test_positive_tables_match_their_golden_digest(t):
     pos = StructureConstants(build(parse_type(t))).pos
     digest = hashlib.sha256(repr(sorted(pos.items())).encode()).hexdigest()
     assert (len(pos), digest) == GOLDEN_POSITIVE_TABLES[t]
+
+
+# ---------------------------------------------------------------------------
+# root ids and the root-sum table
+
+
+@pytest.mark.parametrize("t", PLAN_TYPES)
+def test_ids_and_sums_match_tuple_addition(t):
+    # against tuple addition and the index, on every pair of roots
+    rs = build(parse_type(t))
+    roots = rs.all_roots
+    want = [[rs.index.get(tuple(map(add, a, b)), -1) for b in roots]
+            for a in roots]
+    assert rs.sums.tolist() == want
+    assert rs.ids(rs.roots[:, None] + rs.roots[None]).tolist() == want
+    assert rs.npos == len(rs.positive_roots)
+    assert list(rs.simple_ids) == [rs.index[a] for a in rs.simples]
+
+
+@pytest.mark.parametrize("t", ["A2", "B3", "G2", "F4", "E8"])
+def test_vectors_that_are_not_roots_have_no_id(t):
+    rs = build(parse_type(t))
+    npos, rank = rs.npos, rs.rank
+    assert rs.ids(np.zeros(rank, dtype=np.int64)) == -1
+    assert (rs.ids(2 * rs.roots) == -1).all()
+    assert (rs.ids(rs.roots + rs.roots[npos - 1]) == -1)[:npos].all()
+    # a + a and a + (-a) are never roots
+    assert (np.diagonal(rs.sums) == -1).all()
+    assert (rs.sums[np.arange(npos), np.arange(npos) + npos] == -1).all()
+
+
+def test_a_code_hit_is_kept_only_when_the_coordinates_match():
+    # in A2, (2, 0) = 2 alpha_1 has the code of alpha_2 (radix 2, 2)
+    rs = build(parse_type("A2"))
+    a1, a2 = rs.simple_ids
+    assert rs.ids([[2, 0], [0, 1]]).tolist() == [-1, a2]
+    assert rs.sums[a1, a1] == -1
+
+
+def _string_down_probe(rs, a, b):
+    """Largest k with b - k a a root, by subtracting tuples and looking
+    each one up: the probe the walk over the root-sum table replaced."""
+    k, probe = 0, b
+    while (probe := tuple(map(sub, probe, a))) in rs.index:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("t", PLAN_TYPES)
+def test_string_walk_matches_the_tuple_probe(t):
+    rs = build(parse_type(t))
+    sc = structure_constants(parse_type(t))
+    for i, a in enumerate(rs.positive_roots):
+        for j, b in enumerate(rs.positive_roots):
+            assert sc.string_down(i, j) == _string_down_probe(rs, a, b), (a, b)
 
 
 def test_positive_decompositions_are_every_split():

@@ -5,7 +5,11 @@ roots are their heights; that gives cheap independent oracles for most of
 these tests.
 """
 
+import json
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,23 @@ def test_roots_with_exponent_match_a_fraction_oracle(name):
     for s in _oracle_points(rs):
         oracle = _exponent_oracle(rs, s)
         for k in (0, 1, -1, 2, Fraction(1, 2)):
+            got = roots_with_exponent(rs, s, k)
+            assert got == oracle(k), (s, k)
+            hits += len(got)
+    assert hits
+
+
+def test_roots_with_exponent_past_int64_inputs():
+    # numerators and moduli of 2^70 leave int64: decided in Python ints
+    rs, big = rs_of("B5"), 2 ** 70
+    points = [standard_point(rs, INFINITE, [big, -big, 1, 0, big + 1]),
+              TorusPoint.make(rs, INFINITE, [big] * 5,
+                              [Fraction(1, big)] + [0] * 4),
+              standard_point(rs, 7, [Fraction(1, big + 1)] * 5)]
+    hits = 0
+    for s in points:
+        oracle = _exponent_oracle(rs, s)
+        for k in (0, 1, -1, big, 2 * big + 1, Fraction(1, big + 1)):
             got = roots_with_exponent(rs, s, k)
             assert got == oracle(k), (s, k)
             hits += len(got)
@@ -439,3 +460,44 @@ def test_character_count_refused_at_vanishing_order():
 def test_character_count_simply_laced_rejected():
     with pytest.raises(TorusError):
         count_one_dim_characters(parse_type("A3"), 5)
+
+
+# ---------------------------------------------------------------------------
+# golden centralizer signatures
+
+def _torus_units():
+    """(case, type, order) of every torus unit of the default plan."""
+    from heckeverify.verify import RunConfig, _plan
+    return [(case, *args) for stage, case, _, args in _plan(RunConfig())
+            if stage == "torus"]
+
+
+def _signatures(name, m):
+    rs = rs_of(name)
+    return {point: centralizer_signature(rs, make(rs, m)).describe()
+            for point, make in (("standard", standard_point),
+                                ("mixed", mixed_point))}
+
+
+@lru_cache(maxsize=None)
+def _golden_signatures():
+    # written by `python tests/test_torus.py` before the signature read
+    # root ids
+    return json.loads(
+        Path(__file__).with_name("centralizer_signatures.json").read_text())
+
+
+def test_every_torus_unit_has_a_golden_signature():
+    assert sorted(_golden_signatures()) == \
+        sorted(c for c, _, _ in _torus_units())
+
+
+@pytest.mark.parametrize("case,name,m", _torus_units())
+def test_centralizer_signatures_match_their_goldens(case, name, m):
+    assert _signatures(name, m) == _golden_signatures()[case]
+
+
+if __name__ == "__main__":
+    json.dump({case: _signatures(name, m) for case, name, m in _torus_units()},
+              sys.stdout, indent=1, sort_keys=True)
+    print()

@@ -40,7 +40,8 @@ def type_tables(name):
     return {
         "positive_roots": _digest(list(rs.positive_roots)),
         "index": _digest(sorted(rs.index.items())),
-        "twice_norm2": _digest(sorted(rs._twice_norm2.items())),
+        "twice_norm2": _digest(sorted(zip(rs.all_roots,
+                                          rs.twice_norms.tolist()))),
         "coroots": _digest(tuple(rs.coroots)),
         "reflection_table": _sha(f"{refl.dtype} {refl.shape} ".encode()
                                  + refl.tobytes()),

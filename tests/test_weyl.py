@@ -365,9 +365,8 @@ def test_root_combination_tables_match_a_loop(name):
 @pytest.mark.parametrize("name", PLAN_TYPES)
 def test_root_codes_look_up_every_root(name):
     rs = rs_of(name)
-    assert weyl._root_ids(rs, rs.roots).tolist() == list(range(len(rs.all_roots)))
-    with pytest.raises(AssertionError, match="not a root"):
-        weyl._root_ids(rs, 2 * rs.roots[:1])
+    assert rs.ids(rs.roots).tolist() == list(range(len(rs.all_roots)))
+    assert rs.ids(2 * rs.roots[:1]).tolist() == [-1]
 
 
 @pytest.mark.parametrize("name,drop", [("G2", -1), ("E6", 3)])
@@ -388,7 +387,9 @@ def test_reflection_table_check_names_a_broken_root(monkeypatch, name, drop):
 
 def test_root_codes_past_int64_are_a_refusal():
     # A63's codes need 2^63: the reflection table is refused, not wrong
-    assert weyl._root_ids(rs_of("A62"), rs_of("A62").roots[-1:]).tolist() == [3905]
+    assert rs_of("A62").ids(rs_of("A62").roots[-1:]).tolist() == [3905]
+    with pytest.raises(RootSystemError, match="overflow int64"):
+        rs_of("A63").ids(rs_of("A63").roots[:1])
     with pytest.raises(RootSystemError, match="overflow int64"):
         weyl._reflection_table(parse_type("A63"))
 
