@@ -2,9 +2,10 @@
 counting for the centralizer action.
 
 build_nqs is the only place a sign convention is chosen (the extraspecial
-table unless it is given one): it keeps the bracket action, each
-(generator, basis root) pair's target line and structure constant, on the
-NilModule, and the decomposition and every closure read it from there.
+array unless it is given one): it keeps the bracket action on the
+NilModule as two (generator, basis line) arrays, the target line of each
+pair and its structure constant, and the decomposition and every closure
+read them from there.
 Orbits are counted over small prime fields with p = 1 mod the order, so
 that the field contains an element of that multiplicative order.  Every
 vector is first canonicalized to a torus-orbit label (support pattern
@@ -72,9 +73,10 @@ class NilModule:
     basis_roots: tuple          # roots with exponent one, deterministic order
     torus_weights: tuple        # pairing vector of each basis root
     unipotent_generators: tuple  # all roots with exponent zero, both signs
-    # bracket[g][j] = (k, N(gamma_g, beta_j)) when beta_j + gamma_g is the
-    # basis root k; None when it is not a root
-    bracket: tuple = field(repr=False)
+    # targets[g, j]: the place k of gamma_g + beta_j in the basis, -1 when it
+    # is not a root; consts[g, j] = N(gamma_g, beta_j), 0 exactly there
+    targets: np.ndarray = field(repr=False, compare=False)
+    consts: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -103,8 +105,8 @@ def _order_refusal(rs: RootSystem, m):
 def build_nqs(rs: RootSystem, s: TorusPoint, sc=None) -> NilModule:
     """The eigenspace spanned by the root lines of exponent one, together
     with the exponent-zero roots whose one-parameter subgroups act on it
-    and their bracket action under the structure constants sc (the
-    extraspecial table by default, read only when there is a generator)."""
+    and their bracket action under the structure-constant array sc (the
+    extraspecial one by default, read only when there is a generator)."""
     why = _order_refusal(rs, s.order)
     if why:
         raise NilOrbitError(why)
@@ -114,28 +116,24 @@ def build_nqs(rs: RootSystem, s: TorusPoint, sc=None) -> NilModule:
     assert (where[gen_ids] < 0).all()
     if sc is None and gen_ids.size:
         sc = structure_constants(rs.rstype)
-    # targets[g, j]: the id of gamma_g + beta_j, -1 if that is not a root
-    targets = rs.sums[gen_ids[:, None], basis_ids]
-    places = where[targets]
-    assert (places[targets >= 0] >= 0).all(), \
+    hits = rs.sums[gen_ids[:, None], basis_ids]
+    targets = np.where(hits >= 0, where[hits], -1)
+    assert (targets[hits >= 0] >= 0).all(), \
         "eigenspace not closed under the action"
-    bracket = tuple(
-        tuple((k, sc.n_ids(g, b)) if t >= 0 else None
-              for b, t, k in zip(basis_ids.tolist(), trow, krow))
-        for g, trow, krow in zip(gen_ids.tolist(), targets.tolist(),
-                                 places.tolist()))
+    consts = (sc[gen_ids][:, basis_ids] if gen_ids.size
+              else np.zeros(targets.shape, dtype=np.int8))
     basis = tuple(rs.all_roots[i] for i in basis_ids.tolist())
     gens = tuple(rs.all_roots[i] for i in gen_ids.tolist())
     weights = tuple(map(tuple, rs.pairings[basis_ids].tolist()))
-    return NilModule(rs, s, basis, weights, gens, bracket)
+    return NilModule(rs, s, basis, weights, gens, targets, consts)
 
 
 def decompose(nm: NilModule):
     """Connected components of the bracket graph on the basis lines: edge
     beta -- beta+gamma whenever gamma is a generator and N(gamma, beta) is
     nonzero.  Components come out ordered by their least root."""
-    edges = [(j, hit[0]) for row in nm.bracket
-             for j, hit in enumerate(row) if hit and hit[1]]
+    g, j = np.nonzero(nm.consts)
+    edges = np.column_stack([j, nm.targets[g, j]])
     parts = [Submodule(tuple(sorted(nm.basis_roots[i] for i in comp)))
              for comp in components(nm.dim, edges)]
     parts.sort(key=lambda sub: sub.support[0])
@@ -264,26 +262,29 @@ class _Span:
         idx = {k: i for i, k in enumerate(chosen)}  # basis index -> position
         # exp(c ad e_gamma) on the span is sum_k c^k chain_k / k!: chain_k
         # carries beta to beta + k gamma with the product of the constants
-        # along the chain beta, beta+gamma, ... read off the bracket table
+        # along the chain beta, beta+gamma, ..., gathered through the
+        # targets and consts rows of each generator that moves a chosen
+        # line.  The chains are int64: the closures scale them by inverse
+        # factorials mod p.
+        moving = (nm.targets[:, chosen] >= 0).any(axis=1)
         self.chains = []
-        for row in nm.bracket:
-            mats = [np.zeros((d, d), dtype=np.int64) for _ in range(3)]
-            used = False
+        for trow, crow in zip(nm.targets[moving].tolist(),
+                              nm.consts[moving].tolist()):
+            mats = np.zeros((3, d, d), dtype=np.int64)
             for j, cur in enumerate(chosen):
                 coeff = 1
-                for step in range(3):
-                    if row[cur] is None:
+                for mat in mats:
+                    nxt = trow[cur]
+                    if nxt < 0:
                         break
-                    cur, n = row[cur]
-                    if cur not in idx:
+                    if nxt not in idx:
                         raise NilOrbitError(
                             "chosen supports are not closed under the "
                             "centralizer action; take whole components")
-                    coeff *= n
-                    mats[step][idx[cur], j] = coeff
-                    used = True
-            if used:
-                self.chains.append([m if m.any() else None for m in mats])
+                    coeff *= crow[cur]
+                    mat[idx[nxt], j] = coeff
+                    cur = nxt
+            self.chains.append([m if m.any() else None for m in mats])
         self.weights = [nm.torus_weights[k] for k in chosen]
         self._patterns = [None] * (1 << d)
 

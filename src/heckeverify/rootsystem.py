@@ -7,15 +7,16 @@ by height).  A RootSystem holds its roots once as an int array, roots
 pairings = roots @ cartan: row k is <root k, alpha_j^vee> for every j.  That
 table is the one source of these pairings for roots: the reflection
 table (weyl) and the torus weights (nilorbits, hecke) read it, and the
-positive-root closure carries the same numbers up each height.
-pairing() computes the number for vectors that are not roots.  The
+positive-root closure carries the same numbers up each height.  The
 twice-norms and the coroots are whole-array steps on roots too.
 ids(vecs) and sums are the one lookup from coordinates to root ids: a
 root's id is its row in roots, the negative of root i is root i +- npos,
-and -1 stands for no root; sums[i, j] is the id of root i + root j.  The module also carries the
-standard numerology (degrees, exponents, center order), epsilon-coordinate
-views for the classical families and F4, and Chevalley structure constants
-with a documented sign convention.
+and -1 stands for no root; sums[i, j] is the id of root i + root j.  The
+Chevalley structure constants are one int8 array over the same ids,
+structure_constants(rstype)[i, j] = N(root i, root j), with a documented
+sign convention.  The module also carries the standard numerology
+(degrees, exponents, center order) and epsilon-coordinate views for the
+classical families and F4.
 
 The two exact integer eliminations live here too.  smith gives the center
 order, the torus classes on each support pattern of an eigenspace
@@ -36,7 +37,6 @@ Numbering of simple roots is Bourbaki's throughout:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -49,13 +49,13 @@ __all__ = [
     "RootSystemError",
     "RootSystemType",
     "RootSystem",
-    "StructureConstants",
     "parse_type",
     "build",
     "smith",
     "component_labels",
     "components",
     "degrees_of",
+    "string_down",
     "structure_constants",
 ]
 
@@ -352,20 +352,6 @@ class RootSystem:
 
     # -- construction -------------------------------------------------------
 
-    def pairing(self, root, j) -> int:
-        """<root, alpha_j^vee>, an integer, for any integer vector; the
-        pairings table has it for every root."""
-        return sum(c * self.cartan[i][j] for i, c in enumerate(root) if c)
-
-    def reflect(self, root, j):
-        """Image of a root under the simple reflection s_j."""
-        k = self.pairing(root, j)
-        if not k:
-            return root
-        out = list(root)
-        out[j] -= k
-        return tuple(out)
-
     def _enumerate_positive(self):
         """All positive roots, ordered by (height, lexicographic coords).
 
@@ -577,148 +563,114 @@ def build(rstype: RootSystemType) -> RootSystem:
 
 
 # --- Chevalley structure constants -----------------------------------------
+#
+# structure_constants(rstype) is one read-only int8 array N over root ids,
+# of shape (2 npos, 2 npos): N[i, j] = N(root i, root j), the constant in
+# [e_a, e_b] = N(a, b) e_{a+b}, and 0 exactly where sums[i, j] is -1.  The
+# negative of positive root a is root a + npos, so for positive a and b the
+# four blocks are
+#
+#     N = [[ P,    M ],        P[a, b] = N(a, b)
+#          [-M^T, -P ]]        M[a, b] = N(a, -b)
+#
+# Signs follow the extraspecial-pair convention: order positive roots by
+# (height, lex); for each non-simple positive gamma the extraspecial pair is
+# (xi, gamma - xi) with xi the least simple root such that gamma - xi is a
+# positive root, and N is +(p+1) there (p the string-down count).  Every
+# other constant is forced from these by antisymmetry and the two Jacobi
+# consequences
+#
+#     a+b+c = 0           =>  N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b)
+#     a,b>0, a+b=xi+eta    =>  N(a,b) N(a+b,-xi) =
+#                              -N(-xi,a) N(a-xi,b) - N(b,-xi) N(b-xi,a)
+#
+# _positive_table walks P by the second identity.  The other blocks are
+# whole-array steps: M by the first identity, -P by N(-a,-b) = -N(a,b), and
+# -M^T by antisymmetry.
+#
+# The "twisted" convention rescales e_{+-a} by chi(a) = (-1)^(a_1 a_2),
+# another valid Chevalley basis: its array is N[a, b] chi(a) chi(b)
+# chi(a+b).  Downstream orbit counts must not depend on the choice.
 
-class StructureConstants:
-    """Signed constants N(a,b) with [e_a, e_b] = N(a,b) e_{a+b}.
 
-    Signs follow the extraspecial-pair convention: order positive roots by
-    (height, lex); for each non-simple positive gamma the extraspecial pair is
-    (xi, gamma - xi) with xi the least simple root such that gamma - xi is a
-    positive root, and N is +(p+1) there (p the string-down count).  Every
-    other constant is forced from these by antisymmetry and the two Jacobi
-    consequences
+def string_down(rs: RootSystem, a, b) -> int:
+    """Largest k with b - k a a root, for root ids a, b: a walk in sums."""
+    sums, k = rs.sums, 0
+    while (b := sums[b, (a + rs.npos) % len(sums)]) >= 0:
+        k += 1
+    return k
 
-        a+b+c = 0           =>  N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b)
-        a,b>0, a+b=xi+eta    =>  N(a,b) N(a+b,-xi) =
-                                 -N(-xi,a) N(a-xi,b) - N(b,-xi) N(b-xi,a)
 
-    Only the constants on pairs of positive roots are stored (pos, built by
-    the second identity); n_ids() derives the rest over root ids when asked,
-    by N(-a,-b) = -N(a,b), antisymmetry and the first identity, in integers.
-    The whole signed table, .table, is collected from it on first use.
+def _positive_table(rs: RootSystem):
+    """P as nested lists over positive-root ids, 0 where a + b is not a
+    root: the decompositions gamma = a + b come from the root-sum table,
+    and each non-simple gamma's are walked in height order."""
+    roots, twice = rs.positive_roots, rs.twice_norms.tolist()
+    minus, splits = _positive_decompositions(rs)
+    n = [[0] * rs.npos for _ in range(rs.npos)]
 
-    The 'twisted' convention rescales e_{+-a} by (-1)^(a_1 a_2), another valid
-    Chevalley basis; downstream orbit counts must not depend on the choice.
-    """
+    def mixed_neg_simple(xi, a, mu):
+        # N(-xi, a) for xi simple, a positive, mu = a - xi positive
+        return _exact_div(n[xi][mu] * twice[mu], twice[a])
 
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.convention = "extraspecial"
-        self._pos = self._positive_table()      # over positive-root ids
+    assert len(splits) == len(roots) - rs.rank, \
+        "a non-simple positive root with no decomposition"
+    for gamma, pairs in splits:
+        # the extraspecial pair: xi the least simple root with gamma - xi
+        # a positive root (simple_ids lists alpha_1 first)
+        xi = next((s for s in rs.simple_ids if minus[gamma][s] >= 0), None)
+        if xi is None:
+            raise AssertionError(
+                "positive non-simple root with no simple summand")
+        eta = minus[gamma][xi]
+        p = string_down(rs, xi, eta)
+        n[xi][eta] = p + 1
+        n[eta][xi] = -(p + 1)
+        n_gamma_negxi = _exact_div(-(p + 1) * twice[eta], twice[gamma])
+        for a, b in pairs:
+            if n[a][b]:
+                continue
+            acc = 0
+            amx = minus[a][xi]
+            if amx >= 0:
+                acc += mixed_neg_simple(xi, a, amx) * n[amx][b]
+            elif a == xi:
+                raise AssertionError("extraspecial pair revisited")
+            bmx = minus[b][xi]
+            if bmx >= 0:
+                acc -= mixed_neg_simple(xi, b, bmx) * n[bmx][a]
+            nval = _exact_div(-acc, n_gamma_negxi)
+            expect = string_down(rs, a, b) + 1
+            assert abs(nval) == expect, (roots[gamma], roots[a],
+                                         roots[b], nval, expect)
+            n[a][b] = nval
+            n[b][a] = -nval
+    return n
 
-    def twisted(self) -> "StructureConstants":
-        """The same basis rescaled to the twisted convention: n() applies
-        the sign chi(a) chi(b) chi(a+b)."""
-        out = copy.copy(self)
-        out.convention = "twisted"
-        out.__dict__.pop("table", None)    # collected again from the twisted n()
-        return out
 
-    @staticmethod
-    def _chi(root):
-        if len(root) < 2:
-            return 1
-        return -1 if (root[0] * root[1]) % 2 else 1
+def _extraspecial(rs: RootSystem):
+    """The extraspecial array N, block by block."""
+    npos, twice = rs.npos, rs.twice_norms
+    pos = np.array(_positive_table(rs), dtype=np.int64)
+    # M[a, b] = N(a, -b), with a, -b and -(a - b) summing to zero; c is the
+    # positive one of +-(a - b).  If a - b = c: N(a, -b) = -N(b, c) (c,c) /
+    # (a,a).  If b - a = c: N(a, -b) = N(c, a) (c,c) / (b,b).
+    diff = rs.sums[:npos, npos:]
+    a, b = np.indices((npos, npos))
+    c = diff % npos
+    up = diff < npos
+    num = np.where(up, -pos[b, c], pos[c, a]) * twice[c] * (diff >= 0)
+    mixed, rem = np.divmod(num, twice[np.where(up, a, b)])
+    assert not rem.any(), rs.rstype
+    return np.block([[pos, mixed], [-mixed.T, -pos]]).astype(np.int8)
 
-    def n(self, a, b) -> int:
-        """N(a,b) for roots a and b given as coordinate tuples."""
-        return self.n_ids(self.rs.index[a], self.rs.index[b])
 
-    def n_ids(self, a, b) -> int:
-        """N(a,b) for root ids a and b; zero when a+b is not a root."""
-        total = int(self.rs.sums[a, b])
-        if total < 0:
-            return 0
-        val = self._untwisted(a, b, total)
-        if self.convention == "twisted":
-            roots, chi = self.rs.all_roots, self._chi
-            val *= chi(roots[a]) * chi(roots[b]) * chi(roots[total])
-        return val
-
-    def _untwisted(self, a, b, total) -> int:
-        npos, pos, twice = self.rs.npos, self._pos, self.rs.twice_norms
-        if a < npos and b < npos:
-            return pos[(a, b)]
-        if a >= npos and b >= npos:
-            return -pos[(a - npos, b - npos)]
-        if a >= npos:
-            return -self._untwisted(b, a, total)
-        # a > 0 > b: with nb = -b, the roots a, -nb, -total sum to zero
-        nb = b - npos
-        if total < npos:
-            # (nb, total) positive, summing to a
-            return _exact_div(-pos[(nb, total)] * twice[total], twice[a])
-        # (-total, a) positive, summing to nb
-        nu = total - npos
-        return _exact_div(pos[(nu, a)] * twice[nu], twice[nb])
-
-    @cached_property
-    def pos(self):
-        """{(a, b): N(a,b)} over pairs of positive roots, as tuples."""
-        roots = self.rs.all_roots
-        return {(roots[a], roots[b]): v for (a, b), v in self._pos.items()}
-
-    @cached_property
-    def table(self):
-        """{(a, b): N(a,b)} over every pair of roots with a+b a root."""
-        roots, n = self.rs.all_roots, self.n_ids
-        a, b = np.nonzero(self.rs.sums >= 0)
-        return {(roots[i], roots[j]): n(i, j)
-                for i, j in zip(a.tolist(), b.tolist())}
-
-    def string_down(self, a, b) -> int:
-        """Largest k with b - k a a root, for root ids a, b: a walk in sums."""
-        sums, k = self.rs.sums, 0
-        while (b := sums[b, (a + self.rs.npos) % len(sums)]) >= 0:
-            k += 1
-        return k
-
-    def _positive_table(self):
-        """pos over positive-root ids: the decompositions
-        gamma = a + b come from the root-sum table, and each non-simple
-        gamma's are walked in height order."""
-        rs = self.rs
-        roots, twice = rs.positive_roots, rs.twice_norms.tolist()
-        minus, splits = _positive_decompositions(rs)
-        n = {}
-
-        def mixed_neg_simple(xi, a, mu):
-            # N(-xi, a) for xi simple, a positive, mu = a - xi positive
-            return _exact_div(n[(xi, mu)] * twice[mu], twice[a])
-
-        assert len(splits) == len(roots) - rs.rank, \
-            "a non-simple positive root with no decomposition"
-        for gamma, pairs in splits:
-            # the extraspecial pair: xi the least simple root with gamma - xi
-            # a positive root (simple_ids lists alpha_1 first)
-            xi = next((s for s in rs.simple_ids if minus[gamma][s] >= 0), None)
-            if xi is None:
-                raise AssertionError(
-                    "positive non-simple root with no simple summand")
-            eta = minus[gamma][xi]
-            p = self.string_down(xi, eta)
-            n[(xi, eta)] = p + 1
-            n[(eta, xi)] = -(p + 1)
-            n_gamma_negxi = _exact_div(-(p + 1) * twice[eta], twice[gamma])
-            for a, b in pairs:
-                if (a, b) in n:
-                    continue
-                acc = 0
-                amx = minus[a][xi]
-                if amx >= 0:
-                    acc += mixed_neg_simple(xi, a, amx) * n[(amx, b)]
-                elif a == xi:
-                    raise AssertionError("extraspecial pair revisited")
-                bmx = minus[b][xi]
-                if bmx >= 0:
-                    acc -= mixed_neg_simple(xi, b, bmx) * n[(bmx, a)]
-                nval = _exact_div(-acc, n_gamma_negxi)
-                expect = self.string_down(a, b) + 1
-                assert abs(nval) == expect, (roots[gamma], roots[a],
-                                             roots[b], nval, expect)
-                n[(a, b)] = nval
-                n[(b, a)] = -nval
-        return n
+def _chi(rs: RootSystem):
+    """chi(a) = (-1)^(a_1 a_2) for every root id, as int8; all ones at rank
+    one."""
+    if rs.rank < 2:
+        return np.ones(len(rs.roots), dtype=np.int8)
+    return (1 - 2 * (rs.roots[:, 0] * rs.roots[:, 1] % 2)).astype(np.int8)
 
 
 def _positive_decompositions(rs: RootSystem):
@@ -741,15 +693,22 @@ def _positive_decompositions(rs: RootSystem):
 
 @lru_cache(maxsize=None)
 def structure_constants(rstype: RootSystemType,
-                        convention: str | None = None) -> StructureConstants:
-    """The type's structure constants, built once per process.
+                        convention: str | None = None) -> np.ndarray:
+    """The type's structure-constant array N, read-only, built once per
+    process.
 
-    The default (None) and "extraspecial" name one table, the same object;
-    "twisted" is that table rescaled."""
+    The default (None) and "extraspecial" name one array, the same object;
+    "twisted" is that array rescaled by chi(a) chi(b) chi(a+b) (where a + b
+    is no root, N is 0 and the chi(-1) factor does not matter)."""
     if convention is None:
-        return StructureConstants(build(rstype))
-    if convention == "extraspecial":
+        out = _extraspecial(build(rstype))
+    elif convention == "extraspecial":
         return structure_constants(rstype)
-    if convention == "twisted":
-        return structure_constants(rstype).twisted()
-    raise RootSystemError(f"unknown sign convention {convention!r}")
+    elif convention == "twisted":
+        rs = build(rstype)
+        chi = _chi(rs)
+        out = structure_constants(rstype) * chi[:, None] * chi * chi[rs.sums]
+    else:
+        raise RootSystemError(f"unknown sign convention {convention!r}")
+    out.flags.writeable = False
+    return out

@@ -181,7 +181,7 @@ def test_e8_o16_recorded_representative_list_double_counts_one_orbit():
     a3, x1 = table.root("a3"), table.root("x1")
     me2 = table.root("-e2")
     assert me2 == tuple(a - b for a, b in zip(a3, x1))
-    n = sc.n(tuple(-x for x in x1), a3)
+    n = int(sc[rs.index[tuple(-x for x in x1)], rs.index[a3]])
     assert n != 0 and abs(n) == 1
     # a1 is annihilated, so the move adds exactly the -e2 line
     a1 = table.root("a1")

@@ -112,18 +112,20 @@ def test_bracket_table_is_the_structure_constants(rstype, order, convention):
     rs = build(parse_type(rstype))
     sc = structure_constants(rs.rstype, convention)
     nm = build_nqs(rs, standard_point(rs, order), sc)
-    assert len(nm.bracket) == len(nm.unipotent_generators)
+    shape = (len(nm.unipotent_generators), nm.dim)
+    assert nm.targets.shape == nm.consts.shape == shape
     hits = 0
-    for gamma, row in zip(nm.unipotent_generators, nm.bracket):
-        assert len(row) == nm.dim
-        for beta, hit in zip(nm.basis_roots, row):
+    for g, gamma in enumerate(nm.unipotent_generators):
+        for j, beta in enumerate(nm.basis_roots):
             summed = tuple(x + y for x, y in zip(beta, gamma))
-            if hit is None:
-                assert not rs.is_root(summed) and sc.n(gamma, beta) == 0
+            n = int(sc[rs.index[gamma], rs.index[beta]])
+            if nm.targets[g, j] < 0:
+                assert not rs.is_root(summed) and n == 0
+                assert nm.consts[g, j] == 0
                 continue
             hits += 1
-            assert nm.basis_roots[hit[0]] == summed
-            assert hit[1] == sc.n(gamma, beta) != 0
+            assert nm.basis_roots[nm.targets[g, j]] == summed
+            assert nm.consts[g, j] == n != 0
     assert hits
 
 
@@ -217,6 +219,55 @@ def test_joint_count_e8_o16():
     subs = [comp[table.module_support("M1")], comp[table.module_support("M3")]]
     for q in (17, 97):
         assert orbit_count_ff(nm, subs, q).count == 7
+
+
+def chain_oracle(rs, nm, roots):
+    """Each move's chain matrices on the span of the given basis roots, as
+    _Span should build them: walk beta, beta + gamma, beta + 2 gamma, ...
+    by tuple addition and the index, multiplying the constants N(gamma, .)
+    along the way; None for a step no line reaches, and no entry for a
+    generator that moves no line."""
+    sc = structure_constants(rs.rstype)
+    out = []
+    for gamma in nm.unipotent_generators:
+        mats = [np.zeros((len(roots), len(roots)), dtype=np.int64)
+                for _ in range(3)]
+        for j, beta in enumerate(roots):
+            cur, coeff = beta, 1
+            for mat in mats:
+                nxt = tuple(x + y for x, y in zip(cur, gamma))
+                if nxt not in rs.index:
+                    break
+                coeff *= int(sc[rs.index[gamma], rs.index[cur]])
+                mat[roots.index(nxt), j] = coeff
+                cur = nxt
+        if mats[0].any():
+            out.append([m if m.any() else None for m in mats])
+    return out
+
+
+@pytest.mark.parametrize("rstype,order,module", [
+    ("F4", 5, 9), ("E6", 7, "M1"), ("E6", 7, "M2"), ("E6", 7, "M3"),
+    ("E6", 7, "M4")])
+def test_span_chains_match_a_tuple_walk(rstype, order, module):
+    # F4 at order 5 has a 9-dimensional module whose chains reach
+    # beta + 2 gamma; its orbit count is refused over the state budget, so
+    # no count builds those chains
+    rs, nm = nil(rstype, order)
+    if isinstance(module, int):
+        sub = next(p for p in decompose(nm) if p.dim == module)
+    else:
+        comp = {frozenset(p.support): p for p in decompose(nm)}
+        sub = comp[case_table(rstype, order).module_support(module)]
+    span = no._Span(nm, sub.support)
+    want = chain_oracle(rs, nm, span.roots)
+    assert len(span.chains) == len(want)
+    for got, mats in zip(span.chains, want):
+        assert all(g.dtype == np.int64 for g in got if g is not None)
+        assert [None if m is None else m.tolist() for m in mats] == \
+            [None if g is None else g.tolist() for g in got]
+    if rstype == "F4":
+        assert any(mats[1] is not None for mats in span.chains)
 
 
 def test_partial_support_is_refused():

@@ -22,9 +22,7 @@ import json
 import pytest
 
 from heckeverify import cases, hecke, nilorbits, report, verify
-from heckeverify.rootsystem import (
-    RootSystem, StructureConstants, build, structure_constants,
-)
+from heckeverify.rootsystem import RootSystem, structure_constants
 from heckeverify.verify import ConfigError, RunConfig, verify_all
 
 
@@ -270,20 +268,6 @@ def test_regular_count_builds_no_structure_constants():
     after = structure_constants.cache_info()
     assert [r["status"] for r in records] == ["pass"]
     assert (after.hits, after.misses) == (before.hits, before.misses)
-
-
-def test_orbit_case_never_collects_the_full_table(monkeypatch):
-    # a fresh table per call keeps the process-wide cache for later tests
-    made = []
-
-    def fresh(rstype, convention=None):
-        made.append(StructureConstants(build(rstype)))
-        return made[-1]
-
-    monkeypatch.setattr(nilorbits, "structure_constants", fresh)
-    records = verify_all(RunConfig(cases=("E7.o11",))).records
-    assert [r["status"] for r in records] == ["pass"] * 5
-    assert made and all("table" not in vars(sc) for sc in made)
 
 
 def test_jobs_start_at_most_one_worker_per_unit(monkeypatch):

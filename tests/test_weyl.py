@@ -25,6 +25,7 @@ from heckeverify.weyl import (
     conjugacy_class_count, conjugation_table,
 )
 from heckeverify.partitions import p, ordered_pairs, typeD_count
+from test_rootsystem import reflect
 
 
 def rs_of(name):
@@ -84,7 +85,7 @@ def layer_bfs(rs):
     """The breadth-first enumeration the descent tree replaced: left
     multiplication by every simple reflection, each layer deduplicated
     against the rows already met.  Returns {image row: length}."""
-    refl = np.array([[rs.index[rs.reflect(a, j)] for a in rs.all_roots]
+    refl = np.array([[rs.index[reflect(rs, a, j)] for a in rs.all_roots]
                      for j in range(rs.rank)], dtype=np.int16)
     length_of = {}
     frontier, length = {tuple(rs.index[a] for a in rs.simples)}, 0
@@ -491,7 +492,7 @@ class CoordElement:
 
     @classmethod
     def simple(cls, rs, j):
-        return cls(rs, [rs.reflect(a, j) for a in rs.simples])
+        return cls(rs, [reflect(rs, a, j) for a in rs.simples])
 
     @classmethod
     def from_word(cls, rs, word):
